@@ -83,6 +83,28 @@ let fixture_frames =
              ("rssi", Mortar_core.Value.Float (-40.0 -. Rng.float rng 50.0));
            ]))
 
+(* One host's 8 s sketch window at full-scale sketch parameters: 125
+   projected payloads drawn from the sketch experiment's Zipf domain. *)
+let fixture_sketch_window =
+  lazy
+    (let module S = Mortar_experiments.Sketch in
+     let p = S.params ~quick:false in
+     let cdf = S.zipf_cdf p.S.domain in
+     let ops =
+       let open Mortar_core.Op in
+       List.map compile
+         [
+           Sketch_count_min { depth = p.S.cm_depth; width = p.S.cm_width; seed = p.S.sk_seed };
+           Sketch_hll { b = p.S.hll_b; seed = p.S.sk_seed };
+           Sketch_agms { rows = p.S.agms_rows; cols = p.S.agms_cols; seed = p.S.sk_seed };
+         ]
+     in
+     let payloads =
+       List.init 125 (fun k ->
+           Mortar_core.Value.Record [ ("k", Mortar_core.Value.Int (S.draw_value cdf ~host:1 ~k)) ])
+     in
+     (ops, payloads))
+
 let fixture_msl =
   {|
 loud = select(stream("frames"), mac == "target" && rssi > -90.0)
@@ -191,6 +213,14 @@ let bench_fig18_trilat () =
       in
       ignore (impl.Mortar_core.Op.finalize acc))
 
+let bench_sketch_window_fold () =
+  let ops, payloads = Lazy.force fixture_sketch_window in
+  Staged.stage (fun () ->
+      (* A source's window close: each sketch operator folds the window. *)
+      List.iter
+        (fun impl -> ignore (Mortar_core.Op.fold impl ~on_fault:ignore Fun.id payloads))
+        ops)
+
 let bench_msl_parse () =
   Staged.stage (fun () -> ignore (Mortar_core.Msl.parse fixture_msl))
 
@@ -208,6 +238,7 @@ let kernels =
     ("fig17:plan-primary-179", bench_fig17_plan_primary ());
     ("fig17:sibling-shuffle-179", bench_fig17_sibling_shuffle ());
     ("fig18:trilat-40-frames", bench_fig18_trilat ());
+    ("sketch:window-fold-125", bench_sketch_window_fold ());
     ("msl:parse-3-statements", bench_msl_parse ());
   ]
 

@@ -16,12 +16,17 @@ type spec =
   | Sketch_agms of { rows : int; cols : int; seed : int }
   | Sketch_hll of { b : int; seed : int }
 
+type window_fold =
+  | Lift_merge
+  | In_place : { create : unit -> 's; add : 's -> int -> unit; encode : 's -> string } -> window_fold
+
 type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
   remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
+  window_fold : window_fold;
 }
 
 let registry : (string, Value.t list -> impl) Hashtbl.t = Hashtbl.create 8
@@ -39,6 +44,7 @@ let sum_impl =
     merge = (fun a b -> Value.Float (Value.to_float a +. Value.to_float b));
     remove = Some (fun a b -> Value.Float (Value.to_float a -. Value.to_float b));
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 let count_impl =
@@ -48,6 +54,7 @@ let count_impl =
     merge = (fun a b -> Value.Int (Value.to_int a + Value.to_int b));
     remove = Some (fun a b -> Value.Int (Value.to_int a - Value.to_int b));
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 let avg_impl =
@@ -63,6 +70,7 @@ let avg_impl =
       (fun v ->
         let c = count v in
         if c = 0 then Value.Null else Value.Float (sum v /. float_of_int c));
+    window_fold = Lift_merge;
   }
 
 (* Min and Max use Null as the merge identity; they have no inverse, so
@@ -78,6 +86,7 @@ let extremum better =
         | a, b -> if better (Value.compare a b) then a else b);
     remove = None;
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 let min_impl = extremum (fun c -> c <= 0)
@@ -99,6 +108,7 @@ let top_k_impl ~k ~key =
     merge = (fun a b -> Value.List (take_k (Value.to_list a @ Value.to_list b)));
     remove = None;
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 let union_impl ~cap =
@@ -109,6 +119,7 @@ let union_impl ~cap =
     merge = (fun a b -> Value.List (take (Value.to_list a @ Value.to_list b)));
     remove = None;
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 (* Entropy partial: a record mapping each category to its count. *)
@@ -155,6 +166,7 @@ let entropy_impl =
           in
           Value.Float h
         end);
+    window_fold = Lift_merge;
   }
 
 let histogram_impl ~lo ~hi ~bins =
@@ -177,6 +189,7 @@ let histogram_impl ~lo ~hi ~bins =
     merge = (fun a b -> zip ( + ) (counts a) (counts b));
     remove = Some (fun a b -> zip ( - ) (counts a) (counts b));
     finalize = id;
+    window_fold = Lift_merge;
   }
 
 (* The quantile sketch shares the histogram partial; finalize walks the
@@ -214,8 +227,9 @@ let quantile_impl ~q ~lo ~hi ~bins =
 (* The item identity a sketch hashes. Single-field records unwrap so a
    [map] pre-transform projecting one field sketches the field's value,
    not its record wrapping; everything else falls back to the canonical
-   rendering, which is deterministic across runs and shards. *)
-let rec sketch_key v =
+   rendering, which is deterministic across runs and shards. Scalars and
+   projected scalars hash without allocating. *)
+let[@lint.hot] rec sketch_key v =
   match v with
   | Value.Null -> 0x5EED0
   | Value.Bool false -> 0x5EED1
@@ -228,11 +242,14 @@ let rec sketch_key v =
 
 let sketch_fault msg = Value.type_error "sketch: %s" msg
 
-(* Decode / re-encode around every structural operation: the string is
-   the partial. [decode] accepts the operator's own parameters only, so
-   a summary from a differently-parameterized query can never merge in
-   silently. *)
-let sketch_ops ~decode ~encode ~make ~add ~merge ~sub =
+(* Decode / re-encode around every structural operation on partials:
+   the string is the partial. [decode] accepts the operator's own
+   parameters only, so a summary from a differently-parameterized query
+   can never merge in silently. A source window is the exception: it
+   folds into one mutable sketch ([In_place]) and encodes once. A
+   [Some estimate] finalizes to that float (an empty window to 0.0);
+   [None] keeps the packed sketch as the result. *)
+let sketch_impl ~decode ~encode ~make ~add ~merge ~sub ~estimate =
   let dec = function
     | Value.Str s -> (
       try decode s with Failure msg -> sketch_fault msg)
@@ -242,65 +259,83 @@ let sketch_ops ~decode ~encode ~make ~add ~merge ~sub =
   let guard f a b = try f a b with Failure msg -> sketch_fault msg in
   let lift v =
     let s = make () in
-    add s v;
+    add s (sketch_key v);
     enc s
   in
-  let merge_v a b =
+  let merge a b =
     match (a, b) with
     | Value.Null, x | x, Value.Null -> x
     | a, b -> enc (guard merge (dec a) (dec b))
   in
-  let remove_v =
-    match sub with
-    | None -> None
-    | Some sub ->
-      Some
-        (fun a b ->
-          match (a, b) with
-          | x, Value.Null -> x
-          | a, b -> enc (guard sub (match a with Value.Null -> make () | a -> dec a) (dec b)))
+  let remove =
+    Option.map
+      (fun sub a b ->
+        match (a, b) with
+        | x, Value.Null -> x
+        | a, b -> enc (guard sub (match a with Value.Null -> make () | a -> dec a) (dec b)))
+      sub
   in
-  (lift, merge_v, remove_v, dec)
+  let finalize =
+    match estimate with
+    | None -> id
+    | Some f -> ( function Value.Null -> Value.Float 0.0 | v -> Value.Float (f (dec v)))
+  in
+  {
+    init = Value.Null;
+    lift;
+    merge;
+    remove;
+    finalize;
+    window_fold = In_place { create = make; add; encode };
+  }
 
+(* Count-Min finalize keeps the packed sketch: the subscriber owns the
+   point queries (and the exact total via Count_min.total). *)
 let sketch_count_min_impl ~depth ~width ~seed =
-  let lift, merge, remove, _dec =
-    sketch_ops
-      ~decode:Sketch.Count_min.of_string ~encode:Sketch.Count_min.to_string
-      ~make:(fun () -> Sketch.Count_min.create ~depth ~width ~seed)
-      ~add:(fun s v -> Sketch.Count_min.add s ~key:(sketch_key v) ~w:1)
-      ~merge:Sketch.Count_min.merge ~sub:(Some Sketch.Count_min.sub)
-  in
-  (* Finalize keeps the packed sketch: the subscriber owns the point
-     queries (and the exact total via Count_min.total). *)
-  { init = Value.Null; lift; merge; remove; finalize = id }
+  sketch_impl ~decode:Sketch.Count_min.of_string ~encode:Sketch.Count_min.to_string
+    ~make:(fun () -> Sketch.Count_min.create ~depth ~width ~seed)
+    ~add:(fun s key -> Sketch.Count_min.add s ~key ~w:1)
+    ~merge:Sketch.Count_min.merge ~sub:(Some Sketch.Count_min.sub) ~estimate:None
 
 let sketch_agms_impl ~rows ~cols ~seed =
-  let lift, merge, remove, dec =
-    sketch_ops
-      ~decode:Sketch.Agms.of_string ~encode:Sketch.Agms.to_string
-      ~make:(fun () -> Sketch.Agms.create ~rows ~cols ~seed)
-      ~add:(fun s v -> Sketch.Agms.add s ~key:(sketch_key v) ~w:1)
-      ~merge:Sketch.Agms.merge ~sub:(Some Sketch.Agms.sub)
-  in
-  let finalize = function
-    | Value.Null -> Value.Float 0.0
-    | v -> Value.Float (Sketch.Agms.second_moment (dec v))
-  in
-  { init = Value.Null; lift; merge; remove; finalize }
+  sketch_impl ~decode:Sketch.Agms.of_string ~encode:Sketch.Agms.to_string
+    ~make:(fun () -> Sketch.Agms.create ~rows ~cols ~seed)
+    ~add:(fun s key -> Sketch.Agms.add s ~key ~w:1)
+    ~merge:Sketch.Agms.merge ~sub:(Some Sketch.Agms.sub)
+    ~estimate:(Some Sketch.Agms.second_moment)
 
 let sketch_hll_impl ~b ~seed =
-  let lift, merge, remove, dec =
-    sketch_ops
-      ~decode:Sketch.Hll.of_string ~encode:Sketch.Hll.to_string
-      ~make:(fun () -> Sketch.Hll.create ~b ~seed)
-      ~add:(fun s v -> Sketch.Hll.add s ~key:(sketch_key v))
-      ~merge:Sketch.Hll.merge ~sub:None
-  in
-  let finalize = function
-    | Value.Null -> Value.Float 0.0
-    | v -> Value.Float (Sketch.Hll.estimate (dec v))
-  in
-  { init = Value.Null; lift; merge; remove; finalize }
+  sketch_impl ~decode:Sketch.Hll.of_string ~encode:Sketch.Hll.to_string
+    ~make:(fun () -> Sketch.Hll.create ~b ~seed)
+    ~add:(fun s key -> Sketch.Hll.add s ~key)
+    ~merge:Sketch.Hll.merge ~sub:None ~estimate:(Some Sketch.Hll.estimate)
+
+(* ------------------------------------------------------------------ *)
+(* Folding a window's raw tuples into one partial. *)
+
+let[@lint.hot] rec add_keys add s payload = function
+  | [] -> ()
+  | x :: rest ->
+    add s (sketch_key (payload x));
+    add_keys add s payload rest
+
+(* An [In_place] operator never faults here: [sketch_key] is total and
+   the sketch is built from the operator's own parameters. *)
+let fold impl ~on_fault payload items =
+  match (impl.window_fold, items) with
+  | In_place { create; add; encode }, _ :: _ ->
+    let s = create () in
+    add_keys add s payload items;
+    Value.Str (encode s)
+  | (Lift_merge | In_place _), _ ->
+    List.fold_left
+      (fun acc x ->
+        match impl.merge acc (impl.lift (payload x)) with
+        | v -> v
+        | exception Value.Type_error _ ->
+          on_fault ();
+          acc)
+      impl.init items
 
 let compile = function
   | Sum -> sum_impl

@@ -54,16 +54,39 @@ type spec =
           tree union cannot skew it — the one operator family that
           retires the time-division requirement of §2.2. *)
 
+(** How a source folds one window's raw tuples into a partial. *)
+type window_fold =
+  | Lift_merge
+      (** [merge acc (lift v)] per tuple, from [init]: what every classic
+          and user-defined operator does. *)
+  | In_place : { create : unit -> 's; add : 's -> int -> unit; encode : 's -> string } -> window_fold
+      (** One mutable state from [create], [add]ed the {!sketch_key} of
+          every tuple, encoded once into a [Value.Str]. Only sound when
+          that string equals the [Lift_merge] fold's bytes for the same
+          tuples — true of the sketch family, whose cells add or max
+          order-independently and whose wire form is a pure function of
+          the cells. *)
+
 type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
   remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
+  window_fold : window_fold;
 }
 
 val compile : spec -> impl
 (** @raise Invalid_argument for an unregistered custom operator. *)
+
+val fold : impl -> on_fault:(unit -> unit) -> ('a -> Value.t) -> 'a list -> Value.t
+(** [fold impl ~on_fault payload items] folds a window's raw tuples into
+    one partial, reading each tuple's payload with [payload]; the result
+    is, on wire bytes, [List.fold_left (fun a x -> merge a (lift (payload
+    x))) init items]. Under [Lift_merge] a tuple whose [lift] or [merge]
+    raises {!Value.Type_error} is skipped and reported through
+    [on_fault] (a query fault: the window survives, §2.2's non-blocking
+    rule). An empty list folds to [init]. *)
 
 val register : string -> (Value.t list -> impl) -> unit
 (** Register a user-defined operator under a name usable from the Mortar

@@ -435,6 +435,17 @@ let installed_triples t =
 let removed_pairs t =
   Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare
 
+(* A payload the operator or a transform cannot type is a query fault:
+   the offending tuple is dropped, the window kept (§2.2's
+   non-blocking rule). *)
+let type_fault t =
+  t.n_type_faults <- t.n_type_faults + 1;
+  if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults"
+
+(* A source window's raw tuples, folded into one partial. *)
+let fold_raws t inst raws =
+  Op.fold inst.op ~on_fault:(fun () -> type_fault t) (fun r -> r.payload) raws
+
 let slide_of (meta : Query.meta) =
   match meta.window with
   | Window.Time { slide; _ } -> slide
@@ -704,18 +715,7 @@ and close_slide t inst =
         Summary.boundary ~index ~identity:inst.op.Op.init ~count:1
           ~age:(b -. ((float_of_int closing +. 0.5) *. slide))
       | raws ->
-        (* A payload the operator cannot type is a query fault: drop the
-           offending tuple, keep the window (§2.2's non-blocking rule). *)
-        let value =
-          List.fold_left
-            (fun acc r ->
-              try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
-              with Value.Type_error _ ->
-                t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
-                acc)
-            inst.op.Op.init raws
-        in
+        let value = fold_raws t inst raws in
         let newest_slide = List.filter (fun r -> r.basis >= wend -. slide -. 1e-9) raws in
         let age_basis =
           match newest_slide with
@@ -752,16 +752,7 @@ and emit_tuple_window t inst =
       let tb = first.basis in
       let te = max (tb +. 1e-6) (last_basis +. 1e-6) in
       let index = Index.make ~tb ~te in
-      let value =
-        List.fold_left
-          (fun acc r ->
-            try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
-            with Value.Type_error _ ->
-              t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
-              acc)
-          inst.op.Op.init window_raws
-      in
+      let value = fold_raws t inst window_raws in
       let age_basis =
         List.fold_left (fun acc r -> acc +. r.basis) 0.0 window_raws
         /. float_of_int (List.length window_raws)
@@ -803,8 +794,7 @@ and inject t ~stream ?true_slot payload =
         match
           (try Expr.apply inst.meta.Query.pre payload
            with Value.Type_error _ ->
-             t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
+             type_fault t;
              None)
         with
         | None -> ()

@@ -51,38 +51,19 @@ let merge a b = zip ( + ) a b
 
 let sub a b = zip ( - ) a b
 
-(* Same wire discipline as {!Count_min}: 'A' rows:u8 cols:u16 seed:i64
-   tag:u8, then dense i32 cells or sparse (count, index/value) pairs,
-   whichever is strictly smaller for these exact cell contents. *)
+(* Same wire discipline as {!Count_min}: 'A' rows:u8 cols:u16 seed:i64,
+   then the cells in {!Codec.put_cells}'s canonical form. *)
 let header_bytes = 13
 
 let max_bytes ~rows ~cols = header_bytes + (4 * rows * cols)
 
 let to_string t =
-  let n = Array.length t.cells in
-  let nnz = ref 0 in
-  Array.iter (fun c -> if c <> 0 then incr nnz) t.cells;
-  let sparse = 4 + (8 * !nnz) < 4 * n in
-  let b = Buffer.create (header_bytes + if sparse then 4 + (8 * !nnz) else 4 * n) in
+  let b = Buffer.create (max_bytes ~rows:t.rows ~cols:t.cols) in
   Buffer.add_char b 'A';
   Codec.put_u8 b t.rows;
   Codec.put_u16 b t.cols;
   Codec.put_i64 b t.seed;
-  if sparse then begin
-    Codec.put_u8 b 1;
-    Codec.put_i32 b !nnz;
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          Codec.put_i32 b i;
-          Codec.put_i32 b c
-        end)
-      t.cells
-  end
-  else begin
-    Codec.put_u8 b 0;
-    Array.iter (fun c -> Codec.put_i32 b c) t.cells
-  end;
+  Codec.put_cells b t.cells;
   Buffer.contents b
 
 let of_string s =
@@ -92,22 +73,6 @@ let of_string s =
   let cols = Codec.u16 r in
   let seed = Codec.i64 r in
   let t = create ~rows ~cols ~seed in
-  let n = rows * cols in
-  (match Codec.u8 r with
-  | 0 ->
-    for i = 0 to n - 1 do
-      t.cells.(i) <- Codec.i32 r
-    done
-  | 1 ->
-    let nnz = Codec.i32 r in
-    if nnz < 0 || nnz > n then Codec.fail "bad sparse cell count";
-    let prev = ref (-1) in
-    for _ = 1 to nnz do
-      let i = Codec.i32 r in
-      if i <= !prev || i >= n then Codec.fail "sparse index out of order";
-      prev := i;
-      t.cells.(i) <- Codec.i32 r
-    done
-  | _ -> Codec.fail "unknown agms codec tag");
+  Codec.read_cells r t.cells;
   Codec.expect_end r;
   t

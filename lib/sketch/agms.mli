@@ -32,7 +32,8 @@ val sub : t -> t -> t
 val to_string : t -> string
 
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed or non-canonical input, so
+    [to_string (of_string s) = s] for every accepted [s]. *)
 
 val max_bytes : rows:int -> cols:int -> int
 (** Serialized-size cap (dense layout). *)

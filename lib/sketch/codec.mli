@@ -38,3 +38,18 @@ val put_i32 : Buffer.t -> int -> unit
     (a window would need >2G increments to get there). *)
 
 val put_i64 : Buffer.t -> int -> unit
+
+(** {2 Cell grids}
+
+    Count-Min and AGMS share one layout for their [int] cells: a tag
+    byte, then either every cell as i32 (tag 0, dense) or the non-zero
+    cells as a count:i32 and ascending index:i32 value:i32 pairs (tag 1,
+    sparse). The form is canonical: sparse iff strictly smaller for
+    these cells. *)
+
+val put_cells : Buffer.t -> int array -> unit
+
+val read_cells : reader -> int array -> unit
+(** Fills the (zeroed) grid. Raises [Failure] on the non-canonical
+    form, a zero sparse cell, or a sparse index out of order or range,
+    so [put_cells] of the result reproduces the input bytes exactly. *)

@@ -50,41 +50,22 @@ let merge a b = zip ( + ) a b
 
 let sub a b = zip ( - ) a b
 
-(* Wire layout: 'C' depth:u8 width:u16 seed:i64 tag:u8, then either the
-   dense grid (tag 0, row-major i32 cells) or the non-zero cells (tag 1,
-   count:i32 then ascending index:i32 value:i32 pairs). The tag is a
+(* Wire layout: 'C' depth:u8 width:u16 seed:i64, then the row-major
+   cell grid in {!Codec.put_cells}'s dense-or-sparse form. The form is a
    pure function of the cell contents (sparse iff strictly smaller), so
    equal sketches — however their merges were ordered — share one wire
-   form. *)
+   form, and the decoder rejects any other form. *)
 let header_bytes = 13
 
 let max_bytes ~depth ~width = header_bytes + (4 * depth * width)
 
 let to_string t =
-  let n = Array.length t.cells in
-  let nnz = ref 0 in
-  Array.iter (fun c -> if c <> 0 then incr nnz) t.cells;
-  let sparse = 4 + (8 * !nnz) < 4 * n in
-  let b = Buffer.create (header_bytes + if sparse then 4 + (8 * !nnz) else 4 * n) in
+  let b = Buffer.create (max_bytes ~depth:t.depth ~width:t.width) in
   Buffer.add_char b 'C';
   Codec.put_u8 b t.depth;
   Codec.put_u16 b t.width;
   Codec.put_i64 b t.seed;
-  if sparse then begin
-    Codec.put_u8 b 1;
-    Codec.put_i32 b !nnz;
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          Codec.put_i32 b i;
-          Codec.put_i32 b c
-        end)
-      t.cells
-  end
-  else begin
-    Codec.put_u8 b 0;
-    Array.iter (fun c -> Codec.put_i32 b c) t.cells
-  end;
+  Codec.put_cells b t.cells;
   Buffer.contents b
 
 let of_string s =
@@ -94,22 +75,6 @@ let of_string s =
   let width = Codec.u16 r in
   let seed = Codec.i64 r in
   let t = create ~depth ~width ~seed in
-  let n = depth * width in
-  (match Codec.u8 r with
-  | 0 ->
-    for i = 0 to n - 1 do
-      t.cells.(i) <- Codec.i32 r
-    done
-  | 1 ->
-    let nnz = Codec.i32 r in
-    if nnz < 0 || nnz > n then Codec.fail "bad sparse cell count";
-    let prev = ref (-1) in
-    for _ = 1 to nnz do
-      let i = Codec.i32 r in
-      if i <= !prev || i >= n then Codec.fail "sparse index out of order";
-      prev := i;
-      t.cells.(i) <- Codec.i32 r
-    done
-  | _ -> Codec.fail "unknown count-min codec tag");
+  Codec.read_cells r t.cells;
   Codec.expect_end r;
   t

@@ -45,8 +45,9 @@ val to_string : t -> string
     the cell contents, so equal sketches always serialize identically. *)
 
 val of_string : string -> t
-(** Raises [Failure] on malformed input. [of_string (to_string t)]
-    observably equals [t]. *)
+(** Raises [Failure] on malformed or non-canonical input, so
+    [to_string (of_string s) = s] for every accepted [s].
+    [of_string (to_string t)] observably equals [t]. *)
 
 val max_bytes : depth:int -> width:int -> int
 (** Serialized-size cap (the dense layout): what a planner should charge

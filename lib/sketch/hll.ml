@@ -61,23 +61,27 @@ let merge a b =
 
 (* Wire layout: 'H' b:u8 seed:i64 tag:u8, then the raw register bytes
    (tag 0) or non-zero registers as index:u16 value:u8 triples behind a
-   u16 count (tag 1), sparse iff strictly smaller. *)
+   u16 count (tag 1), sparse iff strictly smaller; the decoder rejects
+   the other form. *)
 let header_bytes = 11
 
 let max_bytes ~b = header_bytes + (1 lsl b)
 
+let nonzero regs = Bytes.fold_left (fun acc c -> if c <> '\000' then acc + 1 else acc) 0 regs
+
+let sparse_regs ~m ~nnz = 2 + (3 * nnz) < m
+
 let to_string t =
   let m = 1 lsl t.b in
-  let nnz = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr nnz) t.regs;
-  let sparse = 2 + (3 * !nnz) < m in
-  let buf = Buffer.create (header_bytes + if sparse then 2 + (3 * !nnz) else m) in
+  let nnz = nonzero t.regs in
+  let sparse = sparse_regs ~m ~nnz in
+  let buf = Buffer.create (header_bytes + if sparse then 2 + (3 * nnz) else m) in
   Buffer.add_char buf 'H';
   Codec.put_u8 buf t.b;
   Codec.put_i64 buf t.seed;
   if sparse then begin
     Codec.put_u8 buf 1;
-    Codec.put_u16 buf !nnz;
+    Codec.put_u16 buf nnz;
     Bytes.iteri
       (fun i c ->
         if c <> '\000' then begin
@@ -105,10 +109,13 @@ let of_string s =
       let v = Codec.u8 r in
       if v > 63 then Codec.fail "hll register out of range";
       Bytes.set t.regs i (Char.chr v)
-    done
+    done;
+    if sparse_regs ~m ~nnz:(nonzero t.regs) then
+      Codec.fail "dense registers where sparse is smaller"
   | 1 ->
     let nnz = Codec.u16 r in
     if nnz > m then Codec.fail "bad sparse register count";
+    if not (sparse_regs ~m ~nnz) then Codec.fail "sparse registers where dense is smaller";
     let prev = ref (-1) in
     for _ = 1 to nnz do
       let i = Codec.u16 r in

@@ -32,7 +32,8 @@ val merge : t -> t -> t
 val to_string : t -> string
 
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed or non-canonical input, so
+    [to_string (of_string s) = s] for every accepted [s]. *)
 
 val max_bytes : b:int -> int
 (** Serialized-size cap (dense layout: one byte per register). *)

@@ -163,6 +163,7 @@ let trilat_impl _args =
               ("y", Value.Float y);
               ("n", Value.Int (List.length obs));
             ]);
+    window_fold = Op.Lift_merge;
   }
 
 let register_trilat () = Op.register "trilat" trilat_impl

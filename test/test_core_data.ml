@@ -226,6 +226,7 @@ let test_op_custom_registry () =
         merge = (fun _ _ -> Value.Int 0);
         remove = None;
         finalize = (fun _ -> Value.Int 42);
+        window_fold = Op.Lift_merge;
       });
   Alcotest.(check bool) "registered" true (Op.registered "always-42");
   let impl = Op.compile (Op.Custom { name = "always-42"; args = [] }) in
@@ -284,6 +285,60 @@ let test_summary_boundary () =
   Alcotest.(check bool) "is boundary" true b.Summary.boundary;
   Alcotest.(check int) "carries count" 1 b.Summary.count
 
+(* The source-window fold classic operators keep: [Op.fold] is the
+   per-tuple lift/merge fold on wire bytes (the marshalled value, exact
+   to the float bit), and it reports one fault per ill-typed payload. *)
+let wire v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let fold_specs = [ Op.Sum; Op.Avg; Op.Histogram { lo = -100.0; hi = 100.0; bins = 8 } ]
+
+let reference_fold (impl : Op.impl) payloads =
+  let faults = ref 0 in
+  let v =
+    List.fold_left
+      (fun acc v ->
+        try impl.Op.merge acc (impl.Op.lift v)
+        with Value.Type_error _ ->
+          incr faults;
+          acc)
+      impl.Op.init payloads
+  in
+  (v, !faults)
+
+let prop_window_fold spec =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s window fold = lift/merge fold (bytes)" (Op.spec_name spec))
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) value_gen))
+    (fun payloads ->
+      let impl = Op.compile spec in
+      String.equal
+        (wire (Op.fold impl ~on_fault:(fun () -> assert false) Fun.id payloads))
+        (wire (fold_lift impl payloads)))
+
+let test_window_fold_faults () =
+  List.iter
+    (fun spec ->
+      let impl = Op.compile spec in
+      List.iter
+        (fun (name, payloads) ->
+          let faults = ref 0 in
+          let v = Op.fold impl ~on_fault:(fun () -> incr faults) Fun.id payloads in
+          let ref_v, ref_faults = reference_fold impl payloads in
+          let label = Printf.sprintf "%s %s" (Op.spec_name spec) name in
+          Alcotest.(check string) (label ^ " bytes") (wire ref_v) (wire v);
+          Alcotest.(check int) (label ^ " faults") ref_faults !faults)
+        [
+          ("empty", []);
+          ("singleton", [ Value.Int 3 ]);
+          ("ill-typed singleton", [ Value.Str "x" ]);
+          ("mixed", [ Value.Int 1; Value.Str "x"; Value.Float 2.5; Value.Null; Value.Int (-4) ]);
+        ];
+      let faults = ref 0 in
+      ignore (Op.fold impl ~on_fault:(fun () -> incr faults) Fun.id [ Value.Str "x"; Value.Null ]);
+      Alcotest.(check int) (Op.spec_name spec ^ " one fault per bad tuple") 2 !faults)
+    fold_specs
+
 let tests =
   [
     Alcotest.test_case "value accessors" `Quick test_value_accessors;
@@ -309,6 +364,7 @@ let tests =
     Alcotest.test_case "op union cap" `Quick test_op_union_cap;
     Alcotest.test_case "op remove inverse" `Quick test_op_remove_inverse;
     Alcotest.test_case "op custom registry" `Quick test_op_custom_registry;
+    Alcotest.test_case "op window fold faults" `Quick test_window_fold_faults;
     QCheck_alcotest.to_alcotest (prop_merge_comm Op.Sum);
     QCheck_alcotest.to_alcotest (prop_merge_comm Op.Min);
     QCheck_alcotest.to_alcotest (prop_merge_comm Op.Count);
@@ -318,3 +374,4 @@ let tests =
     Alcotest.test_case "summary prov merge" `Quick test_summary_prov_merge;
     Alcotest.test_case "summary boundary" `Quick test_summary_boundary;
   ]
+  @ List.map (fun spec -> QCheck_alcotest.to_alcotest (prop_window_fold spec)) fold_specs

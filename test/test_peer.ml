@@ -123,26 +123,46 @@ let test_sliding_window_overlap () =
     steady
 
 let test_tuple_window () =
-  (* Tuple windows: last 4 tuples from each source, slide 4. *)
+  (* Tuple windows: last 4 tuples from each source, slide 4. A Sum and
+     a Count-Min query read the same stream; tuples carry provenance, so
+     each result says how many tuples its batches consumed. *)
   let d = deploy ~seed:46 ~hosts:8 () in
   let hosts = D.hosts d in
-  let meta =
-    Query.make_meta ~name:"tw" ~source:"ones" ~op:Op.Sum
-      ~window:(Window.tuples ~range:4 ~slide:4) ~root:0 ~total_nodes:hosts ()
-  in
+  let window = Window.tuples ~range:4 ~slide:4 in
+  let meta name op = Query.make_meta ~name ~source:"ones" ~op ~window ~root:0 ~total_nodes:hosts () in
   for i = 0 to hosts - 1 do
-    D.sensor d ~node:i ~stream:"ones" ~period:0.5 (fun _ -> Value.Int 1)
+    D.sensor d ~node:i ~stream:"ones" ~period:0.5 ~truth_slide:1.0 (fun _ -> Value.Int 1)
   done;
   let results = collect d in
-  install d meta;
+  install d (meta "tw" Op.Sum);
+  install d (meta "twcm" (Op.Sketch_count_min { depth = 4; width = 32; seed = 3 }));
   D.run_until d 40.0;
-  Alcotest.(check bool) "tuple-window results" true (!results <> []);
-  (* Each source contributes batches of 4 ones. *)
+  let steady name =
+    List.filter (fun (r : Peer.result) -> r.query = name && r.emitted_at_local > 20.0) !results
+  in
+  let consumed (r : Peer.result) = List.fold_left (fun acc (_, n) -> acc + n) 0 r.prov in
+  Alcotest.(check bool) "tuple-window results" true (steady "tw" <> [] && steady "twcm" <> []);
+  (* Each source contributes whole batches of 4 ones. *)
+  List.iter
+    (fun (r : Peer.result) ->
+      Alcotest.(check bool) "at least one batch" true (consumed r >= 4);
+      Alcotest.(check int) "whole batches" 0 (consumed r mod 4))
+    (steady "tw" @ steady "twcm");
   List.iter
     (fun (r : Peer.result) ->
       let v = Value.to_float r.value in
-      Alcotest.(check bool) "multiple of ~4 per contributor" true (v >= 4.0))
-    (List.filter (fun (r : Peer.result) -> r.emitted_at_local > 20.0) !results)
+      Alcotest.(check bool) "multiple of ~4 per contributor" true (v >= 4.0);
+      Alcotest.(check (float 0.0)) "sum = tuples consumed" (float_of_int (consumed r)) v)
+    (steady "tw");
+  (* The in-place sketch fold counts every tuple exactly once. *)
+  List.iter
+    (fun (r : Peer.result) ->
+      match r.value with
+      | Value.Str packed ->
+        Alcotest.(check int) "count-min total = tuples consumed" (consumed r)
+          (Mortar_sketch.Count_min.total (Mortar_sketch.Count_min.of_string packed))
+      | v -> Alcotest.failf "count-min result %s" (Value.show v))
+    (steady "twcm")
 
 let test_query_composition () =
   (* A second query (max over 5s) subscribes to the first query's output

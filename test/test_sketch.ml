@@ -11,8 +11,11 @@
      sketches are byte-identical however they were built (this is what
      makes the --shards 1 vs --shards 4 contract hold for sketch
      queries — see Test_parallel);
-   - the codec rejects truncated, oversized and mistagged inputs
-     instead of constructing a corrupt sketch;
+   - the codec rejects truncated, oversized, mistagged and
+     non-canonical inputs instead of constructing a corrupt sketch, so
+     every accepted string re-encodes to itself;
+   - a source window's in-place fold equals the per-tuple lift/merge
+     fold on wire bytes;
    - the Op layer wraps all failures as type faults, never crashes. *)
 
 module Cm = Mortar_sketch.Count_min
@@ -145,6 +148,50 @@ let expect_failure name f =
   | _ -> Alcotest.failf "%s: accepted" name
   | exception Failure _ -> ()
 
+(* Hand-built wire strings, in either form whatever the cells hold:
+   Count-Min / AGMS grids (magic, two dims, seed, tagged cells) and HLL
+   registers. [sparse] lists (index, value) pairs verbatim. *)
+let put_i32 b v = Buffer.add_int32_be b (Int32.of_int v)
+
+let grid_wire ~magic ~d1 ~d2 ~seed cells =
+  let b = Buffer.create 64 in
+  Buffer.add_char b magic;
+  Buffer.add_uint8 b d1;
+  Buffer.add_uint16_be b d2;
+  Buffer.add_int64_be b (Int64.of_int seed);
+  (match cells with
+  | `Dense cells ->
+    Buffer.add_uint8 b 0;
+    List.iter (put_i32 b) cells
+  | `Sparse pairs ->
+    Buffer.add_uint8 b 1;
+    put_i32 b (List.length pairs);
+    List.iter
+      (fun (i, v) ->
+        put_i32 b i;
+        put_i32 b v)
+      pairs);
+  Buffer.contents b
+
+let hll_wire ~b:bits ~seed regs =
+  let b = Buffer.create 64 in
+  Buffer.add_char b 'H';
+  Buffer.add_uint8 b bits;
+  Buffer.add_int64_be b (Int64.of_int seed);
+  (match regs with
+  | `Dense regs ->
+    Buffer.add_uint8 b 0;
+    List.iter (Buffer.add_uint8 b) regs
+  | `Sparse pairs ->
+    Buffer.add_uint8 b 1;
+    Buffer.add_uint16_be b (List.length pairs);
+    List.iter
+      (fun (i, v) ->
+        Buffer.add_uint16_be b i;
+        Buffer.add_uint8 b v)
+      pairs);
+  Buffer.contents b
+
 let test_codec_rejects () =
   let cm = cm_of [ 1; 2; 3 ] in
   let wire = Cm.to_string cm in
@@ -154,7 +201,79 @@ let test_codec_rejects () =
   expect_failure "empty" (fun () -> Hll.of_string "");
   expect_failure "mismatched merge" (fun () ->
       Cm.merge cm (Cm.create ~depth:4 ~width:64 ~seed:11));
-  expect_failure "bad create" (fun () -> Hll.create ~b:2 ~seed:1)
+  expect_failure "bad create" (fun () -> Hll.create ~b:2 ~seed:1);
+  (* Non-canonical forms: each decodes to a sketch whose encoding is a
+     different string. 2x4 grids: sparse is canonical up to 3 non-zero
+     cells (4 + 8 * 3 < 32). *)
+  let cm_wire = grid_wire ~magic:'C' ~d1:2 ~d2:4 ~seed:7 in
+  let agms_wire = grid_wire ~magic:'A' ~d1:2 ~d2:4 ~seed:7 in
+  ignore (Cm.of_string (cm_wire (`Sparse [ (0, 1); (5, 2) ])));
+  expect_failure "cm zero sparse cell" (fun () -> Cm.of_string (cm_wire (`Sparse [ (0, 1); (5, 0) ])));
+  expect_failure "agms zero sparse cell" (fun () -> Agms.of_string (agms_wire (`Sparse [ (3, 0) ])));
+  expect_failure "cm dense where sparse is smaller" (fun () ->
+      Cm.of_string (cm_wire (`Dense [ 1; 0; 0; 0; 0; 2; 0; 0 ])));
+  expect_failure "agms dense where sparse is smaller" (fun () ->
+      Agms.of_string (agms_wire (`Dense [ 0; 0; 0; 0; 0; 0; 0; 0 ])));
+  let full = List.init 8 (fun i -> (i, i + 1)) in
+  expect_failure "cm sparse where dense is smaller" (fun () -> Cm.of_string (cm_wire (`Sparse full)));
+  expect_failure "agms sparse where dense is smaller" (fun () ->
+      Agms.of_string (agms_wire (`Sparse full)));
+  (* b=4: 16 registers, sparse is canonical up to 4 non-zero (2 + 3 * 4 < 16). *)
+  let regs_with nz = List.init 16 (fun i -> if List.mem_assoc i nz then List.assoc i nz else 0) in
+  ignore (Hll.of_string (hll_wire ~b:4 ~seed:7 (`Sparse [ (2, 3) ])));
+  expect_failure "hll dense where sparse is smaller" (fun () ->
+      Hll.of_string (hll_wire ~b:4 ~seed:7 (`Dense (regs_with [ (2, 3) ]))));
+  expect_failure "hll sparse where dense is smaller" (fun () ->
+      Hll.of_string (hll_wire ~b:4 ~seed:7 (`Sparse (List.init 5 (fun i -> (i, 1))))))
+
+(* Every accepted string is canonical: decode then re-encode gives the
+   same bytes. Inputs are hand-built in both forms over small grids,
+   with zero-heavy cells, unsorted or repeated sparse indices and
+   either form whatever the cells hold, so acceptance and rejection are
+   both common. *)
+let small = QCheck.Gen.oneofl [ 0; 0; 0; 0; 1; 2; -1; 63; 64 ]
+
+let grid_gen =
+  QCheck.Gen.(
+    let n = 8 in
+    oneof
+      [
+        map (fun cells -> `Dense cells) (list_repeat n small);
+        map
+          (fun pairs -> `Sparse (List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j) pairs))
+          (list_size (int_range 0 n) (pair (int_range 0 (n - 1)) small));
+        map (fun pairs -> `Sparse pairs) (list_size (int_range 0 4) (pair (int_range (-1) n) small));
+      ])
+
+let hll_regs_gen =
+  QCheck.Gen.(
+    let m = 16 in
+    oneof
+      [
+        map (fun regs -> `Dense regs) (list_repeat m small);
+        map
+          (fun pairs -> `Sparse (List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j) pairs))
+          (list_size (int_range 0 8) (pair (int_range 0 (m - 1)) small));
+      ])
+
+let canonical of_string to_string s =
+  match of_string s with
+  | t -> String.equal (to_string t) s
+  | exception Failure _ -> true
+
+let prop_canonical name gen wire of_string to_string =
+  QCheck.Test.make ~name:(name ^ " decoder accepts only canonical bytes") ~count:500
+    (QCheck.make gen) (fun form -> canonical of_string to_string (wire form))
+
+(* Flipping one byte of a real encoding must never yield an accepted
+   non-canonical string either. *)
+let prop_canonical_mutated name of_keys to_string of_string =
+  QCheck.Test.make ~name:(name ^ " mutated encodings stay canonical") ~count:300
+    (QCheck.make QCheck.Gen.(triple keys_gen nat (int_range 0 255)))
+    (fun (keys, pos, byte) ->
+      let w = Bytes.of_string (to_string (of_keys keys)) in
+      Bytes.set_uint8 w (pos mod Bytes.length w) byte;
+      canonical of_string to_string (Bytes.to_string w))
 
 let test_wire_caps () =
   (* The planner charges state_wire_size as the worst case; the dense
@@ -218,6 +337,79 @@ let test_op_faults () =
   | _ -> Alcotest.fail "mismatched sketch accepted"
   | exception Value.Type_error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The source-window fold: one in-place sketch per window must equal,
+   byte for byte, the per-tuple lift/merge fold it replaced. *)
+
+let sketch_specs =
+  [
+    Op.Sketch_count_min { depth = 4; width = 32; seed = 5 };
+    Op.Sketch_agms { rows = 5; cols = 16; seed = 5 };
+    Op.Sketch_hll { b = 11; seed = 5 };
+  ]
+
+(* Wire bytes of a partial: the packed string for a sketch, the
+   marshalled value otherwise (exact down to float bits). *)
+let wire = function
+  | Value.Str s -> s
+  | v -> Marshal.to_string v [ Marshal.No_sharing ]
+
+let lift_merge (impl : Op.impl) payloads =
+  List.fold_left (fun acc v -> impl.Op.merge acc (impl.Op.lift v)) impl.Op.init payloads
+
+let payload_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> Value.Int k) (int_range 0 500);
+        map (fun k -> Value.Record [ ("k", Value.Int k) ]) (int_range 0 500);
+        map (fun k -> Value.Str (string_of_int k)) (int_range 0 50);
+        map (fun f -> Value.Float f) (float_range (-10.0) 10.0);
+      ])
+
+let prop_window_fold spec =
+  let impl = Op.compile spec in
+  QCheck.Test.make
+    ~name:(Format.asprintf "%a window fold = lift/merge fold (bytes)" Op.pp_spec spec)
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) payload_gen))
+    (fun payloads ->
+      let folded = Op.fold impl ~on_fault:(fun () -> assert false) Fun.id payloads in
+      String.equal (wire folded) (wire (lift_merge impl payloads)))
+
+let test_window_fold_edges () =
+  List.iter
+    (fun spec ->
+      let impl = Op.compile spec in
+      let check name payloads =
+        let folded = Op.fold impl ~on_fault:(fun () -> Alcotest.fail "fault") Fun.id payloads in
+        Alcotest.(check string)
+          (Format.asprintf "%a %s" Op.pp_spec spec name)
+          (wire (lift_merge impl payloads)) (wire folded)
+      in
+      check "empty" [];
+      check "singleton" [ Value.Record [ ("k", Value.Int 42) ] ];
+      (* A full sketch-churn window: 125 tuples over a small domain. *)
+      check "125 tuples" (List.init 125 (fun i -> Value.Record [ ("k", Value.Int (i * i mod 97)) ])))
+    sketch_specs;
+  (* The fold reads payloads through its accessor, not the items. *)
+  let impl = Op.compile (List.hd sketch_specs) in
+  let items = List.init 10 (fun i -> (i, Value.Int i)) in
+  Alcotest.(check string) "payload accessor"
+    (wire (lift_merge impl (List.map snd items)))
+    (wire (Op.fold impl ~on_fault:ignore snd items))
+
+let test_sketch_key_no_alloc () =
+  let v = Value.Record [ ("k", Value.Int 42) ] in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc lxor Op.sketch_key v
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "key" 0 !acc;
+  if words > 100.0 then Alcotest.failf "sketch_key allocated %.0f words over 10k calls" words
+
 let test_state_wire_size () =
   let cap spec =
     match Op.state_wire_size spec with Some c -> c | None -> Alcotest.fail "no cap"
@@ -247,10 +439,25 @@ let tests =
     Alcotest.test_case "hll small-range correction" `Quick test_hll_small_range;
     Alcotest.test_case "agms f2 accuracy" `Quick test_agms_accuracy;
     Alcotest.test_case "codec rejects malformed input" `Quick test_codec_rejects;
+    QCheck_alcotest.to_alcotest
+      (prop_canonical "cm" grid_gen (grid_wire ~magic:'C' ~d1:2 ~d2:4 ~seed:7) Cm.of_string
+         Cm.to_string);
+    QCheck_alcotest.to_alcotest
+      (prop_canonical "agms" grid_gen (grid_wire ~magic:'A' ~d1:2 ~d2:4 ~seed:7) Agms.of_string
+         Agms.to_string);
+    QCheck_alcotest.to_alcotest
+      (prop_canonical "hll" hll_regs_gen (hll_wire ~b:4 ~seed:7) Hll.of_string Hll.to_string);
+    QCheck_alcotest.to_alcotest (prop_canonical_mutated "cm" cm_of Cm.to_string Cm.of_string);
+    QCheck_alcotest.to_alcotest
+      (prop_canonical_mutated "agms" agms_of Agms.to_string Agms.of_string);
+    QCheck_alcotest.to_alcotest (prop_canonical_mutated "hll" hll_of Hll.to_string Hll.of_string);
     Alcotest.test_case "wire size within planner cap" `Quick test_wire_caps;
     Alcotest.test_case "op-level hll" `Quick test_op_hll;
     Alcotest.test_case "op merge order byte-identical" `Quick test_op_merge_order_bytes;
     Alcotest.test_case "op remove (linear sketches)" `Quick test_op_remove;
     Alcotest.test_case "op faults are type errors" `Quick test_op_faults;
     Alcotest.test_case "state wire size caps" `Quick test_state_wire_size;
+    Alcotest.test_case "window fold edges (bytes)" `Quick test_window_fold_edges;
+    Alcotest.test_case "sketch_key does not allocate" `Quick test_sketch_key_no_alloc;
   ]
+  @ List.map (fun spec -> QCheck_alcotest.to_alcotest (prop_window_fold spec)) sketch_specs
