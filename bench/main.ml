@@ -19,10 +19,11 @@
       sends, and a short fig14-style aggregation round (on the sharded
       deployment; `--shards N` sets the domain count), writing the
       numbers as machine-readable JSON (default
-      `results/BENCH_PR7.json`). This is the evidence trail for the
-      multicore sharded engine: the 10000-host round must beat 3 s of
-      wall time at 8 domains, and the 100000-host round must complete
-      at full completeness.
+      `results/BENCH_CI.json`, not committed; full-scale rows go into
+      the append-only history `results/BENCH.jsonl`). This is
+      the evidence trail for the multicore sharded engine: the
+      10000-host round must beat 3 s of wall time at 8 domains, and the
+      100000-host round must complete at full completeness.
 
    Usage:
      dune exec bench/main.exe                # micro + quick experiments
@@ -684,7 +685,7 @@ let () =
         (arg_opt "--hosts")
     in
     Scale.run ~quick:(has "--quick") ~shards ~hosts
-      ~out:(arg_value "--out" "results/BENCH_PR7.json")
+      ~out:(arg_value "--out" "results/BENCH_CI.json")
   else begin
     let micro_only = has "--micro" in
     let figures_only = has "--figures" in

@@ -20,14 +20,16 @@ type xmsg = {
   x_payload : Mortar_core.Msg.payload;
 }
 
-type shard = {
-  sid : int;
-  s_engine : Engine.t;
-  s_transport : Mortar_core.Msg.payload Transport.t;
-}
-
-type sharded = {
-  shards : shard array; (* one per populated stub domain of the topology *)
+(* Hosts are partitioned by stub domain into per-shard engines driven by
+   a conservative epoch loop ([run_until]); the control engine carries
+   fault windows, crash scripts and experiment [at]-callbacks. *)
+type t = {
+  engine : Engine.t; (* the control engine *)
+  topo : Topology.t;
+  (* One engine and one transport instance per logical shard, i.e. per
+     populated stub domain of the topology. *)
+  engines : Engine.t array;
+  transports : Mortar_core.Msg.payload Transport.t array;
   outboxes : xmsg Shard.outbox array; (* indexed by source shard *)
   lookahead : float; (* min cross-stub latency; infinity when <= 1 stub *)
   domains : int; (* execution width; never affects output *)
@@ -39,31 +41,10 @@ type sharded = {
      trace stays untouched and already ordered), [Obs.default] the rest
      of the time. *)
   mutable ctl_sink : Obs.Reg.t;
-}
-
-(* [Single] is the original one-engine deployment, byte-for-byte: every
-   direct-API test and its pinned expectations run through it unchanged.
-   [Sharded] partitions hosts by stub domain into per-shard engines
-   driven by a conservative epoch loop; the CLI experiments and the
-   scale bench use it. The two backends share the peer logic and all
-   the scenario machinery below. *)
-type backend =
-  | Single
-  | Sharded of sharded
-
-type t = {
-  engine : Engine.t; (* the control engine in sharded mode *)
-  topo : Topology.t;
-  (* In sharded mode this is shard 0's instance: liveness, handlers and
-     duplicate memory are shared across instances, so the up/seen
-     manipulation below works identically for both backends. *)
-  transport : Mortar_core.Msg.payload Transport.t;
   faults : Faults.t;
-  clocks : Clock.t array;
   peers : Peer.t array;
   rng : Rng.t;
   mutable vivaldi : Mortar_coords.Vivaldi.system option;
-  backend : backend;
 }
 
 let default_domains = ref 1
@@ -86,30 +67,6 @@ let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
     rng;
   }
 
-let create ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?offsets ?skews topo =
-  let n = Topology.hosts topo in
-  let rng = Rng.create seed in
-  let engine = Engine.create () in
-  let transport = Transport.create engine topo ~loss ~rng:(Rng.split rng) () in
-  let get arr i = match arr with Some a -> a.(i) | None -> 0.0 in
-  let clocks =
-    Array.init n (fun i -> Clock.create ~offset:(get offsets i) ~skew:(get skews i) ())
-  in
-  let peers =
-    Array.init n (fun i ->
-        let rt =
-          make_runtime ~engine ~transport ~topo ~clock:clocks.(i) ~rng:(Rng.split rng) i
-        in
-        Peer.create ~config rt)
-  in
-  Array.iteri (fun i peer -> Transport.register transport i (fun ~src m -> Peer.receive peer ~src m)) peers;
-  (* The fault table gets its own root stream: drawing it from [rng]
-     would shift the transport/peer/planner streams of every existing
-     seeded run, faults or not. *)
-  let faults = Faults.create ~hosts:n ~rng:(Rng.create (seed lxor 0x5f3759df)) () in
-  Transport.set_faults transport faults;
-  { engine; topo; transport; faults; clocks; peers; rng; vivaldi = None; backend = Single }
-
 let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?offsets ?skews
     ?domains topo =
   let domains =
@@ -119,12 +76,10 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let nshards = Topology.stub_count topo in
   let lookahead = Topology.lookahead topo in
   let shard_of = Array.init n (fun h -> Topology.stub_of topo h) in
-  (* RNG derivation mirrors [create] exactly where streams are shared:
-     one split for the transport root, then per-peer splits in host
-     order — so peer behaviour is seed-compatible with the single
-     backend. Only the transport root is then re-split per shard (the
-     loss stream must be private to the deciding domain); with the
-     default [loss = 0.] no transport randomness is ever drawn. *)
+  (* One split for the transport root, then per-peer splits in host
+     order. The transport root is re-split per shard (the loss stream
+     must be private to the deciding domain); with the default
+     [loss = 0.] no transport randomness is ever drawn. *)
   let rng = Rng.create seed in
   let engine = Engine.create () in
   let engines = Array.init nshards (fun _ -> Engine.create ()) in
@@ -138,8 +93,7 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
       { x_src = src; x_dst = dst; x_kind = kind; x_key = key; x_payload = payload }
   in
   let transports =
-    Transport.create_sharded ~engines ~shard_of:(fun h -> shard_of.(h)) ~rngs:t_rngs ~remote
-      topo ~loss ()
+    Transport.create_sharded ~engines ~shard_of ~rngs:t_rngs ~remote topo ~loss ()
   in
   let get arr i = match arr with Some a -> a.(i) | None -> 0.0 in
   let clocks =
@@ -158,27 +112,31 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
     (fun i peer ->
       Transport.register transports.(shard_of.(i)) i (fun ~src m -> Peer.receive peer ~src m))
     peers;
-  (* Same root constant as [create]; the root table only installs and
-     heals conditions, each shard decides through a private view. *)
+  (* The fault table gets its own root stream, apart from [rng]; the
+     root table only installs and heals conditions, each shard decides
+     through a private view. *)
   let fmaster = Rng.create (seed lxor 0x5f3759df) in
   let faults = Faults.create ~hosts:n ~rng:fmaster () in
   Array.iter
     (fun tr -> Transport.set_faults tr (Faults.shard_view faults ~rng:(Rng.split fmaster)))
     transports;
-  let regs = Array.init nshards (fun _ -> Obs.Reg.create ()) in
-  let shards =
-    Array.init nshards (fun sid -> { sid; s_engine = engines.(sid); s_transport = transports.(sid) })
-  in
-  let sh =
+  let t =
     {
-      shards;
+      engine;
+      topo;
+      engines;
+      transports;
       outboxes;
       lookahead;
       domains;
       shard_of;
-      regs;
+      regs = Array.init nshards (fun _ -> Obs.Reg.create ());
       ctl_reg = Obs.Reg.create ();
       ctl_sink = Obs.default;
+      faults;
+      peers;
+      rng;
+      vivaldi = None;
     }
   in
   (* Route Obs writes from inside a shard slice to that shard's private
@@ -186,28 +144,13 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
      Installed per deployment, but safe across several: a stale resolver
      still returns [default] off-slice once its run loop has exited. *)
   Obs.set_sink (fun () ->
-      match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
-  {
-    engine;
-    topo;
-    transport = transports.(0);
-    faults;
-    clocks;
-    peers;
-    rng;
-    vivaldi = None;
-    backend = Sharded sh;
-  }
+      match Par.Ctx.get () with Some sid -> t.regs.(sid) | None -> t.ctl_sink);
+  t
 
-let engine t = t.engine
-
-let transport t =
-  match t.backend with
-  | Single -> t.transport
-  | Sharded _ ->
-    invalid_arg
-      "Deployment.transport: sharded deployment has one transport per shard; use the \
-       aggregate accessors (total_bytes, bytes_series, kinds, messages_sent, ...)"
+(* Liveness, handlers and duplicate memory are shared across the shard
+   instances; [set_up] goes through instance 0 so its [up_count] tracks
+   the shared array. *)
+let shared_transport t = t.transports.(0)
 
 let topology t = t.topo
 
@@ -221,15 +164,12 @@ let rng t = t.rng
    callbacks (e.g. the harness result hooks) read coherent local time;
    everywhere else it is the control engine's. *)
 let now t =
-  match t.backend with
-  | Single -> Engine.now t.engine
-  | Sharded sh -> (
-    match Par.Ctx.get () with
-    | Some sid -> Engine.now sh.shards.(sid).s_engine
-    | None -> Engine.now t.engine)
+  match Par.Ctx.get () with
+  | Some sid -> Engine.now t.engines.(sid)
+  | None -> Engine.now t.engine
 
 (* ------------------------------------------------------------------ *)
-(* The conservative epoch loop (sharded backend).
+(* The conservative epoch loop.
 
    Invariant: a cross-shard message sent at time E is delivered at
    E + latency >= E + lookahead. So with [ns] = the earliest queued
@@ -249,29 +189,27 @@ let now t =
    lookahead — never on [domains] — which is what makes `--shards N`
    byte-identical to `--shards 1`. *)
 
-let min_next_shard sh =
+let min_next_shard t =
   Array.fold_left
-    (fun acc s ->
-      match Engine.next_time s.s_engine with Some x -> Float.min acc x | None -> acc)
-    infinity sh.shards
+    (fun acc e -> match Engine.next_time e with Some x -> Float.min acc x | None -> acc)
+    infinity t.engines
 
 (* Drain every mailbox at the barrier (single-threaded) and schedule the
    messages on their destination engines in canonical
    (time, src_shard, seq) order — the engine's FIFO tie-break then makes
    same-instant deliveries fire in exactly that order. *)
-let drain_outboxes sh =
-  let nshards = Array.length sh.shards in
-  for d = 0 to nshards - 1 do
-    match Shard.drain sh.outboxes ~dst_shard:d with
+let drain_outboxes t =
+  for d = 0 to Array.length t.engines - 1 do
+    match Shard.drain t.outboxes ~dst_shard:d with
     | [] -> ()
     | msgs ->
-      let s = sh.shards.(d) in
+      let engine = t.engines.(d) and transport = t.transports.(d) in
       List.iter
         (fun (st : xmsg Shard.stamped) ->
           let m = st.Shard.msg in
           ignore
-            (Engine.schedule_at s.s_engine ~at:st.Shard.time (fun () ->
-                 Transport.deliver_msg s.s_transport ~src:m.x_src ~dst:m.x_dst ~kind:m.x_kind
+            (Engine.schedule_at engine ~at:st.Shard.time (fun () ->
+                 Transport.deliver_msg transport ~src:m.x_src ~dst:m.x_dst ~kind:m.x_kind
                    ~key:m.x_key m.x_payload)))
         msgs
   done
@@ -280,11 +218,12 @@ let drain_outboxes sh =
    domain-local context naming the shard so Obs writes and [now] resolve
    to the right stream. The pool barrier gives the control thread a
    happens-before edge over every shard mutation. *)
-let par_shards sh pool f =
-  Par.Pool.run pool ~n:(Array.length sh.shards) (fun i ->
+let par_shards t pool f =
+  let engines = t.engines in
+  Par.Pool.run pool ~n:(Array.length engines) (fun i ->
       Par.Ctx.set (Some i);
-      (* lint: allow D7 disjoint slices: worker i only touches shards.(i); pool barrier orders ctl_sink *)
-      f sh.shards.(i);
+      (* lint: allow D7 disjoint slices: worker i only touches engines.(i) *)
+      f engines.(i);
       Par.Ctx.set None)
 
 (* Fold the per-shard (and control) Obs registries into the default one
@@ -296,17 +235,17 @@ let par_shards sh pool f =
    run's target), so sorting one run's worth keeps the whole trace
    ordered without ever re-touching it. Deterministic in the shard
    partition, never in the domain count. *)
-let flush_obs sh =
+let flush_obs t =
   if !Obs.enabled then begin
     let tagged = ref [] in
     List.iteri
       (fun i (time, ev) -> tagged := (time, -1, i, ev) :: !tagged)
-      (Obs.Reg.drain_trace sh.ctl_reg);
+      (Obs.Reg.drain_trace t.ctl_reg);
     Array.iteri
       (fun s r ->
         List.iteri (fun i (time, ev) -> tagged := (time, s, i, ev) :: !tagged)
           (Obs.Reg.drain_trace r))
-      sh.regs;
+      t.regs;
     let sorted =
       List.sort
         (fun (t1, s1, i1, _) (t2, s2, i2, _) ->
@@ -318,91 +257,67 @@ let flush_obs sh =
         !tagged
     in
     List.iter (fun (time, _, _, ev) -> Obs.Reg.trace Obs.default ~t:time ev) sorted;
-    Obs.Reg.fold_into ~into:Obs.default sh.ctl_reg;
-    Array.iter (fun r -> Obs.Reg.fold_into ~into:Obs.default r) sh.regs
+    Obs.Reg.fold_into ~into:Obs.default t.ctl_reg;
+    Array.iter (fun r -> Obs.Reg.fold_into ~into:Obs.default r) t.regs
   end
 
-let run_sharded t sh target =
-  let pool = Par.Pool.create ~domains:(min sh.domains (Array.length sh.shards)) in
-  sh.ctl_sink <- sh.ctl_reg;
+let run_until t target =
+  let pool = Par.Pool.create ~domains:(min t.domains (Array.length t.engines)) in
+  t.ctl_sink <- t.ctl_reg;
   Fun.protect
     ~finally:(fun () ->
-      sh.ctl_sink <- Obs.default;
+      t.ctl_sink <- Obs.default;
       Par.Pool.shutdown pool)
     (fun () ->
       let continue_ = ref true in
       while !continue_ do
-        let ns = min_next_shard sh in
+        let ns = min_next_shard t in
         let nc =
           match Engine.next_time t.engine with Some x -> x | None -> infinity
         in
         if Float.min ns nc > target then begin
           (* Nothing left at or before [target]: advance every clock. *)
-          par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
+          par_shards t pool (Engine.run ~until:target);
           Engine.run ~until:target t.engine;
           continue_ := false
         end
         else begin
-          let bound = Float.min (ns +. sh.lookahead) nc in
+          let bound = Float.min (ns +. t.lookahead) nc in
           if bound > target then begin
             (* The whole remaining window fits in one epoch: every event
                at or before [target] precedes [bound], and anything sent
                lands past [target]. Finish inclusively. *)
-            par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
-            drain_outboxes sh;
+            par_shards t pool (Engine.run ~until:target);
+            drain_outboxes t;
             Engine.run ~until:target t.engine;
             continue_ := false
           end
           else begin
-            par_shards sh pool (fun s -> Engine.run_before s.s_engine bound);
-            drain_outboxes sh;
+            par_shards t pool (fun e -> Engine.run_before e bound);
+            drain_outboxes t;
             (* Fires control events at exactly [bound] (if [nc = bound])
                and keeps the control clock abreast of the shards. *)
             Engine.run ~until:bound t.engine
           end
         end
       done);
-  flush_obs sh
-
-let run_until t time =
-  match t.backend with
-  | Single -> Engine.run ~until:time t.engine
-  | Sharded sh -> run_sharded t sh time
+  flush_obs t
 
 let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 
-let shard_count t =
-  match t.backend with Single -> 1 | Sharded sh -> Array.length sh.shards
+let engine_of_host t i = t.engines.(t.shard_of.(i))
 
-let domains t = match t.backend with Single -> 1 | Sharded sh -> sh.domains
+(* Aggregate transport accessors: the per-shard instances each hold
+   their own counters and bandwidth series, so the deployment-level
+   totals sum (or bucket-merge) across them. *)
 
-let lookahead t =
-  match t.backend with Single -> 0.0 | Sharded sh -> sh.lookahead
+let fold_transports t f acc = Array.fold_left f acc t.transports
 
-let engine_of_host t i =
-  match t.backend with
-  | Single -> t.engine
-  | Sharded sh -> sh.shards.(sh.shard_of.(i)).s_engine
-
-(* Aggregate transport accessors: in sharded mode the per-shard
-   instances each hold their own counters and bandwidth series, so the
-   deployment-level totals sum (or bucket-merge) across them. Every
-   experiment reads traffic through these rather than [transport]. *)
-
-let fold_transports t f acc =
-  match t.backend with
-  | Single -> f acc t.transport
-  | Sharded sh -> Array.fold_left (fun acc s -> f acc s.s_transport) acc sh.shards
-
-let on_deliver t f =
-  match t.backend with
-  | Single -> Transport.on_deliver t.transport f
-  | Sharded sh ->
-    (* Deliveries (including drained cross-shard ones) run on the
-       destination's instance, so the observer goes on every one. With
-       [domains > 1] it fires concurrently from several domains — keep
-       observers effect-free or confine them to one host's traffic. *)
-    Array.iter (fun s -> Transport.on_deliver s.s_transport f) sh.shards
+(* Deliveries (including drained cross-shard ones) run on the
+   destination's instance, so the observer goes on every one. With
+   [domains > 1] it fires concurrently from several domains — keep
+   observers effect-free or confine them to one host's traffic. *)
+let on_deliver t f = Array.iter (fun tr -> Transport.on_deliver tr f) t.transports
 
 let messages_sent t = fold_transports t (fun acc tr -> acc + Transport.messages_sent tr) 0
 
@@ -410,10 +325,7 @@ let messages_delivered t =
   fold_transports t (fun acc tr -> acc + Transport.messages_delivered tr) 0
 
 let events_fired t =
-  let base = Engine.fired t.engine in
-  match t.backend with
-  | Single -> base
-  | Sharded sh -> Array.fold_left (fun acc s -> acc + Engine.fired s.s_engine) base sh.shards
+  Array.fold_left (fun acc e -> acc + Engine.fired e) (Engine.fired t.engine) t.engines
 
 let total_bytes t = fold_transports t (fun acc tr -> acc +. Transport.total_bytes tr) 0.0
 
@@ -425,33 +337,28 @@ let kinds t =
   |> List.sort_uniq compare
 
 let bytes_series t ~kind =
-  match t.backend with
-  | Single -> Transport.bytes_series t.transport ~kind
-  | Sharded sh ->
-    (* Transports are created with the default 1-second bucket, so the
-       merged series uses the same width. *)
-    Array.fold_left
-      (fun acc s ->
-        match Transport.bytes_series s.s_transport ~kind with
-        | None -> acc
-        | Some src ->
-          let dst =
-            match acc with Some d -> d | None -> Series.create ~bucket:1.0
-          in
-          Series.merge_into ~dst src;
-          Some dst)
-      None sh.shards
+  fold_transports t
+    (fun acc tr ->
+      match Transport.bytes_series tr ~kind with
+      | None -> acc
+      | Some src ->
+        let dst =
+          match acc with Some d -> d | None -> Series.create ~bucket:Transport.bucket
+        in
+        Series.merge_into ~dst src;
+        Some dst)
+    None
 
 let set_up t node up =
-  if !Obs.enabled && Transport.is_up t.transport node <> up then
+  if !Obs.enabled && Transport.is_up (shared_transport t) node <> up then
     Obs.trace ~t:(Engine.now t.engine)
       (if up then Obs.Node_up { node } else Obs.Node_down { node });
-  Transport.set_up t.transport node up
+  Transport.set_up (shared_transport t) node up
 
 let up_hosts t =
   let rec loop i acc =
     if i < 0 then acc
-    else loop (i - 1) (if Transport.is_up t.transport i then i :: acc else acc)
+    else loop (i - 1) (if Transport.is_up (shared_transport t) i then i :: acc else acc)
   in
   loop (hosts t - 1) []
 
@@ -527,7 +434,7 @@ let crash_window t ~node ~at:down_at ~recover_at =
   at t down_at (fun () -> set_up t node false);
   at t recover_at (fun () ->
       Peer.crash t.peers.(node);
-      Transport.clear_seen t.transport ~dst:node;
+      Transport.clear_seen (shared_transport t) ~dst:node;
       set_up t node true)
 
 let schedule_fault t = function
@@ -562,7 +469,7 @@ let schedule_fault t = function
             Array.iter
               (fun v ->
                 Peer.crash t.peers.(v);
-                Transport.clear_seen t.transport ~dst:v;
+                Transport.clear_seen (shared_transport t) ~dst:v;
                 set_up t v true)
               victims))
 
@@ -665,17 +572,11 @@ let inject t ~node ~stream ?true_slot value =
 let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
   assert (period > 0.0);
   (* Ticks run on the node's shard engine, so jitter draws would race on
-     the deployment RNG across domains: sharded sensors split a private
+     the deployment RNG across domains: jittered sensors split a private
      stream up front (sequential, so it is a pure function of the
-     attachment order, not of the domain count). The single backend
-     keeps drawing from [t.rng] at tick time, byte-compatible with every
-     pinned run. *)
+     attachment order, not of the domain count). *)
   let engine = engine_of_host t node in
-  let jrng =
-    match t.backend with
-    | Single -> t.rng
-    | Sharded _ -> if jitter > 0.0 then Rng.split t.rng else t.rng
-  in
+  let jrng = if jitter > 0.0 then Rng.split t.rng else t.rng in
   let phase = Rng.float t.rng period in
   let counter = ref 0 in
   let rec tick () =

@@ -12,18 +12,6 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?config:Mortar_core.Peer.config ->
-  ?loss:float ->
-  ?offsets:float array ->
-  ?skews:float array ->
-  Mortar_net.Topology.t ->
-  t
-(** [offsets]/[skews] (seconds / dimensionless, indexed by host) default to
-    perfectly synchronized clocks. Single-engine backend: one event loop
-    runs every host, exactly as before the parallel runtime existed. *)
-
 val create_sharded :
   ?seed:int ->
   ?config:Mortar_core.Peer.config ->
@@ -33,56 +21,38 @@ val create_sharded :
   ?domains:int ->
   Mortar_net.Topology.t ->
   t
-(** The conservative parallel backend: hosts are partitioned into one
-    logical shard per populated stub domain of the topology, each with
-    its own event engine and transport instance, synchronized by a
-    lookahead epoch loop ({!Mortar_net.Topology.lookahead}) with
-    cross-shard messages merged at epoch barriers in the canonical
-    (time, src_shard, seq) order. [domains] (default {!default_domains})
-    sets how many OS-level domains execute shard slices — it scales
-    wall-clock only; the logical decomposition, and therefore every
-    metric, trace and result, is byte-identical for any [domains],
-    including [1]. On OCaml 4.14 the runtime is the sequential fallback
-    shim and [domains] is effectively [1].
+(** Hosts are partitioned into one logical shard per populated stub
+    domain of the topology, each with its own event engine and transport
+    instance, synchronized by a conservative lookahead epoch loop
+    ({!Mortar_net.Topology.lookahead}) with cross-shard messages merged
+    at epoch barriers in the canonical (time, src_shard, seq) order. A
+    separate control engine runs fault windows, crash scripts and {!at}
+    callbacks between epochs.
 
-    Peer RNG streams are seed-compatible with {!create}; transport-level
-    loss draws and fault randomness use per-shard streams, so runs with
-    [loss > 0] or active fault randomness are deterministic but not
-    stream-identical to the single backend. *)
+    [offsets]/[skews] (seconds / dimensionless, indexed by host) default
+    to perfectly synchronized clocks. [loss] is a uniform per-message
+    drop probability, drawn from a per-shard stream. [domains] (default
+    {!default_domains}) sets how many OS-level domains execute shard
+    slices — it scales wall-clock only; the logical decomposition, and
+    therefore every metric, trace and result, is byte-identical for any
+    [domains], including [1]. On OCaml 4.14 the runtime is the
+    sequential fallback shim and [domains] is effectively [1]. *)
 
 val default_domains : int ref
 (** Execution width used by {!create_sharded} when [?domains] is not
     given; the CLI's [--shards] flag sets it. Default [1]. *)
 
-val engine : t -> Mortar_sim.Engine.t
-(** The (control, in sharded mode) engine. *)
-
-val transport : t -> Mortar_core.Msg.payload Mortar_net.Transport.t
-(** The transport of a {!create} deployment. Raises [Invalid_argument]
-    on a sharded deployment — traffic lives on per-shard instances
-    there; use the aggregate accessors below. *)
-
-val shard_count : t -> int
-(** Logical shards ([1] for {!create}). *)
-
-val domains : t -> int
-(** Execution width ([1] for {!create}). *)
-
-val lookahead : t -> float
-(** The epoch lookahead ([0.] for {!create}). *)
-
 (** {1 Aggregate traffic accessors}
 
-    Backend-independent reads of the transport counters and bandwidth
-    series: the single backend delegates, the sharded one sums (or
-    bucket-merges) across shard instances. *)
+    Reads of the transport counters and bandwidth series, summed (or
+    bucket-merged) across the shard instances. *)
 
 val on_deliver :
   t -> (src:Mortar_net.Topology.host -> dst:Mortar_net.Topology.host -> kind:string -> unit) -> unit
-(** Observe every message delivery, on any backend. In sharded mode the
-    observer is installed on each shard instance and fires on the
-    destination shard's domain — with [domains > 1] keep it effect-free
-    or confine mutation to per-host state. *)
+(** Observe every message delivery. The observer is installed on each
+    shard instance and fires on the destination shard's domain — with
+    [domains > 1] keep it effect-free or confine mutation to per-host
+    state. *)
 
 val messages_sent : t -> int
 
@@ -99,7 +69,8 @@ val kinds : t -> string list
 (** Sorted, duplicate-free union across shards. *)
 
 val bytes_series : t -> kind:string -> Mortar_sim.Series.t option
-(** Sharded mode returns a fresh merged series per call. *)
+(** A fresh merged series per call, in {!Mortar_net.Transport.bucket}-wide
+    buckets. *)
 
 val topology : t -> Mortar_net.Topology.t
 

@@ -193,7 +193,7 @@ let attach_sensors d specs =
 type sink = (string, (int, int) Hashtbl.t) Hashtbl.t
 
 (* Every logical query's table is created up-front (single-threaded) and
-   then mutated only from its one delivery host, so the sharded backend
+   then mutated only from its one delivery host, so the sharded runtime
    can run delivery callbacks on different domains without the outer
    table ever being written concurrently. *)
 let sink_for specs : sink =

@@ -26,7 +26,6 @@ type 'a t = {
   engine : Mortar_sim.Engine.t;
   topo : Topology.t;
   loss : float;
-  bucket : float;
   seen_cap : int;
   rng : Mortar_util.Rng.t;
   mutable faults : Faults.t option;
@@ -43,45 +42,19 @@ type 'a t = {
   mutable kind_cache2 : (string * Mortar_sim.Series.t) option;
   mutable sent : int;
   mutable delivered : int;
-  (* Sharded mode: this instance serves the hosts of one logical shard.
-     A send whose destination maps to another shard is handed to
-     [remote] (the deployment's outbox) instead of scheduled locally;
+  (* This instance serves the hosts of one logical shard. A send whose
+     destination maps to another shard is handed to [remote] (the
+     deployment's outbox) instead of scheduled locally;
      [up]/[handlers]/[seen] are shared across all sibling instances
      (indexed by host, each slot touched only by its owner shard). *)
-  shard : int; (* -1 = unsharded *)
-  shard_of : Topology.host -> int;
-  remote : 'a remote option;
+  shard : int;
+  shard_of : int array;
+  remote : 'a remote;
 }
 
-let no_shard (_ : Topology.host) = -1
+let bucket = 1.0
 
-let create engine topo ?(loss = 0.0) ?(bucket = 1.0) ?(seen_cap = 4096) ?faults ~rng () =
-  let n = Topology.hosts topo in
-  {
-    engine;
-    topo;
-    loss;
-    bucket;
-    seen_cap = max 1 seen_cap;
-    rng;
-    faults;
-    handlers = Array.make n None;
-    observers = [||];
-    up = Array.make n true;
-    up_alive = n;
-    seen = Array.make n None;
-    by_kind = Hashtbl.create 8;
-    kind_cache = None;
-    kind_cache2 = None;
-    sent = 0;
-    delivered = 0;
-    shard = -1;
-    shard_of = no_shard;
-    remote = None;
-  }
-
-let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(bucket = 1.0)
-    ?(seen_cap = 4096) () =
+let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(seen_cap = 4096) () =
   let n = Topology.hosts topo in
   let up = Array.make n true in
   let handlers = Array.make n None in
@@ -91,7 +64,6 @@ let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(bucket 
         engine = engines.(s);
         topo;
         loss;
-        bucket;
         seen_cap = max 1 seen_cap;
         rng = rngs.(s);
         faults = None;
@@ -109,8 +81,18 @@ let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(bucket 
         delivered = 0;
         shard = s;
         shard_of;
-        remote = Some (remote s);
+        remote = remote s;
       })
+
+(* A stand-alone transport is the one-shard case: every host maps to
+   shard 0, so [remote] is unreachable. *)
+let create engine topo ?loss ?seen_cap ~rng () =
+  let remote _ ~deliver_at:_ ~src:_ ~dst:_ ~kind:_ ~key:_ _ =
+    invalid_arg "Transport: cross-shard send on a one-shard transport"
+  in
+  (create_sharded ~engines:[| engine |]
+     ~shard_of:(Array.make (Topology.hosts topo) 0)
+     ~rngs:[| rng |] ~remote topo ?loss ?seen_cap ()).(0)
 
 let register t host f = t.handlers.(host) <- Some f
 
@@ -146,7 +128,7 @@ let account t ~kind ~bytes =
           match Hashtbl.find_opt t.by_kind kind with
           | Some s -> s
           | None ->
-            let s = Mortar_sim.Series.create ~bucket:t.bucket in
+            let s = Mortar_sim.Series.create ~bucket in
             Hashtbl.replace t.by_kind kind s;
             s
         in
@@ -273,14 +255,14 @@ let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") ?key payload =
           (Obs.Tuple_send { src; dst; kind; size })
       end;
       let delay = Topology.latency t.topo src dst +. verdict.Faults.extra_delay in
-      match t.remote with
-      | Some post when t.shard_of dst <> t.shard ->
+      if t.shard_of.(dst) <> t.shard then
         (* Cross-shard: hand the message to the deployment's outbox
            rather than this engine. The lookahead bound guarantees
            [deliver_at] is still in the destination shard's future, and
            the outbox drain gives the merge a canonical total order. *)
-        post ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind ~key payload
-      | _ ->
+        t.remote ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind ~key
+          payload
+      else
         ignore
           (* lint: allow D9 the deferred delivery closure IS the in-flight message *)
           (Mortar_sim.Engine.schedule t.engine ~after:delay (fun () ->

@@ -18,21 +18,21 @@
 type 'a t
 (** A transport carrying payloads of type ['a]. *)
 
+val bucket : float
+(** Width in seconds of every bandwidth-series bucket ([1.]). *)
+
 val create :
   Mortar_sim.Engine.t ->
   Topology.t ->
   ?loss:float ->
-  ?bucket:float ->
   ?seen_cap:int ->
-  ?faults:Faults.t ->
   rng:Mortar_util.Rng.t ->
   unit ->
   'a t
-(** [loss] is a per-message drop probability (default [0.]); [bucket] the
-    bandwidth-series bucket width in seconds (default [1.]); [seen_cap]
-    bounds each destination's duplicate-suppression memory (default
-    [4096] keys, oldest forgotten first); [faults] attaches a fault
-    table consulted on every send. *)
+(** A stand-alone, one-shard transport on one engine. [loss] is a
+    per-message drop probability (default [0.]); [seen_cap] bounds each
+    destination's duplicate-suppression memory (default [4096] keys,
+    oldest forgotten first). Attach a fault table with {!set_faults}. *)
 
 type 'a remote =
   deliver_at:float ->
@@ -48,12 +48,11 @@ type 'a remote =
 
 val create_sharded :
   engines:Mortar_sim.Engine.t array ->
-  shard_of:(Topology.host -> int) ->
+  shard_of:int array ->
   rngs:Mortar_util.Rng.t array ->
   remote:(int -> 'a remote) ->
   Topology.t ->
   ?loss:float ->
-  ?bucket:float ->
   ?seen_cap:int ->
   unit ->
   'a t array
@@ -62,10 +61,11 @@ val create_sharded :
     is only ever touched from its owner shard's domain, or from the
     control thread at an epoch barrier). Instance [s] runs on
     [engines.(s)] and draws from [rngs.(s)]; a send whose destination
-    lives on another shard is handed to [remote s] instead of being
-    scheduled locally. Route every {!set_up} through instance [0] so its
-    {!up_count} tracks the shared array; {!register} on the owning
-    instance. Fault tables are attached per instance ({!Faults.shard_view}). *)
+    lives on another shard ([shard_of], indexed by host) is handed to
+    [remote s] instead of being scheduled locally. Route every
+    {!set_up} through instance [0] so its {!up_count} tracks the shared
+    array; {!register} on the owning instance. Fault tables are
+    attached per instance ({!Faults.shard_view}). *)
 
 val deliver_msg :
   'a t ->
@@ -78,7 +78,7 @@ val deliver_msg :
 (** Delivery-time half of {!send}: destination-liveness check, duplicate
     suppression, handler dispatch. Exposed for the sharded deployment,
     which calls it on the {e destination} shard's instance when draining
-    cross-shard outboxes; single-engine users never need it. *)
+    cross-shard outboxes; stand-alone users never need it. *)
 
 val register : 'a t -> Topology.host -> (src:Topology.host -> 'a -> unit) -> unit
 (** Install the delivery handler for a host; replaces any previous one. *)

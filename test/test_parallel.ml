@@ -10,9 +10,10 @@
    - Deployment: the observable simulation — metrics lines, trace
      lines, transport counters — is byte-identical whether the logical
      shards execute on 1 domain or 4. Checked on a loss-free
-     aggregation run (fig01-style) and on a fault-heavy run
-     (soak-style) whose per-shard fault RNG streams are the subtle
-     part. *)
+     aggregation run (fig01-style), on a fault-heavy run (soak-style)
+     whose per-shard fault RNG streams are the subtle part, and on a
+     noisy run that draws the remaining random streams: transport
+     loss, skewed and offset clocks, and jittered sensors. *)
 
 module Engine = Mortar_sim.Engine
 module Shard = Mortar_sim.Shard
@@ -87,12 +88,15 @@ type capture = {
   trace : string list;
   sent : int;
   delivered : int;
+  loss_drops : int;
   results : (float * int) list;
 }
 
 (* Run one seeded scenario at the given domain count with observability
-   on, and capture everything externally visible. *)
-let run_scenario ~domains ~faults () =
+   on, and capture everything externally visible. [noise] adds
+   transport-level loss, per-host clock offsets and skews, and sensor
+   jitter. *)
+let run_scenario ~domains ~faults ~noise () =
   let saved = !Obs.enabled in
   Fun.protect
     ~finally:(fun () ->
@@ -104,7 +108,13 @@ let run_scenario ~domains ~faults () =
       let hosts = 48 in
       let rng = Rng.create 2718 in
       let topo = Topology.transit_stub rng ~hosts ~transits:3 ~stubs:6 () in
-      let d = D.create_sharded ~seed:2718 ~domains topo in
+      let d =
+        if noise then
+          let offsets = Array.init hosts (fun i -> 0.05 *. float_of_int ((i mod 7) - 3)) in
+          let skews = Array.init hosts (fun i -> 2e-4 *. float_of_int ((i mod 5) - 2)) in
+          D.create_sharded ~seed:2718 ~loss:0.05 ~offsets ~skews ~domains topo
+        else D.create_sharded ~seed:2718 ~domains topo
+      in
       let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
       let treeset = D.plan_random d ~bf:8 ~root:0 ~nodes () in
       let meta =
@@ -114,7 +124,8 @@ let run_scenario ~domains ~faults () =
           ~aggregate:true ()
       in
       for i = 0 to hosts - 1 do
-        D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
+        let jitter = if noise then 0.2 else 0.0 in
+        D.sensor d ~node:i ~stream:"ones" ~period:1.0 ~jitter (fun _ -> Mortar_core.Value.Int 1)
       done;
       let results = ref [] in
       Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
@@ -134,6 +145,7 @@ let run_scenario ~domains ~faults () =
         trace = Obs.Reg.trace_lines Obs.default;
         sent = D.messages_sent d;
         delivered = D.messages_delivered d;
+        loss_drops = Obs.Reg.counter_total Obs.default "transport.dropped.loss";
         results = List.rev !results;
       })
 
@@ -148,14 +160,21 @@ let check_identical name a b =
   Alcotest.(check bool) (name ^ ": root got results") true (List.length a.results > 0)
 
 let test_domains_identical_cleanrun () =
-  let a = run_scenario ~domains:1 ~faults:false () in
-  let b = run_scenario ~domains:4 ~faults:false () in
+  let a = run_scenario ~domains:1 ~faults:false ~noise:false () in
+  let b = run_scenario ~domains:4 ~faults:false ~noise:false () in
   check_identical "clean" a b
 
 let test_domains_identical_faultrun () =
-  let a = run_scenario ~domains:1 ~faults:true () in
-  let b = run_scenario ~domains:4 ~faults:true () in
+  let a = run_scenario ~domains:1 ~faults:true ~noise:false () in
+  let b = run_scenario ~domains:4 ~faults:true ~noise:false () in
   check_identical "faulty" a b
+
+let test_domains_identical_noisyrun () =
+  let a = run_scenario ~domains:1 ~faults:true ~noise:true () in
+  let b = run_scenario ~domains:4 ~faults:true ~noise:true () in
+  check_identical "noisy" a b;
+  (* The noise is really drawn: transport loss drops messages. *)
+  Alcotest.(check bool) "noisy: transport loss drops messages" true (a.loss_drops > 0)
 
 (* Sketch queries extend the contract: the packed partial bytes the
    root delivers — not just the counts — must be identical across
@@ -210,4 +229,6 @@ let tests =
     Alcotest.test_case "1 vs 4 domains identical (faults)" `Quick test_domains_identical_faultrun;
     Alcotest.test_case "1 vs 4 domains identical (sketch bytes)" `Quick
       test_domains_identical_sketch;
+    Alcotest.test_case "1 vs 4 domains identical (loss, skew, jitter)" `Quick
+      test_domains_identical_noisyrun;
   ]
