@@ -289,6 +289,7 @@ module Scale = struct
   module Transport = Mortar_net.Transport
   module Engine = Mortar_sim.Engine
   module D = Mortar_emul.Deployment
+  module Ledger = Mortar_experiments.Ledger
 
   type row = {
     hosts : int;
@@ -374,44 +375,34 @@ module Scale = struct
     for i = 0 to hosts - 1 do
       D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
     done;
-    let results = ref 0 in
-    let emissions = ref [] in
+    let ledger = Ledger.create [ "scale-count" ] in
     Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
-        incr results;
-        emissions := (r.slot, r.count, D.now d) :: !emissions);
+        Ledger.record ledger ~query:"scale-count" ~bucket:r.slot ~count:r.count ~at:(D.now d) ());
     D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
     (* Collect the other layers' garbage before timing, so the round
        measures the engine rather than inherited major-heap debt. *)
     Gc.full_major ();
     let (), wall = time (fun () -> D.run_until d virtual_s) in
-    (* Completeness per window slot, not per emission: a straggler tuple
-       landing after its window was evicted re-opens the window, and the
-       root emits that slot a second time carrying only the late counts —
-       a window's completeness is the best emission it ever got. Steady
-       state is keyed on a slot's *first* emission: the early windows
-       close while the chunked install is still propagating down the
-       trees (at 100k hosts the bf-32 union trees are a level deeper and
-       the last leaves install about a window later, so the threshold is
-       correspondingly later). *)
-    let warmup = if hosts >= 50_000 then 7.0 else 5.0 in
-    let slots =
+    (* Slot s spans [1 + s, 2 + s). The first window opens with the
+       install and closes while the chunked install is still reaching
+       the leaves (at 100k hosts the bf-32 union trees are a level deeper
+       and the last leaves install about a window later), so steady state
+       starts one slot in, two at 100k. It ends at the last window the
+       root delivered: later ones were still draining when the round
+       stopped. A steady window that never arrived scores 0. *)
+    let first = if hosts >= 50_000 then 2 else 1 in
+    let last =
       List.fold_left
-        (fun acc (slot, count, at) ->
-          match List.assoc_opt slot acc with
-          | Some (first_at, best) ->
-            (slot, (min first_at at, max best count)) :: List.remove_assoc slot acc
-          | None -> (slot, (at, count)) :: acc)
-        [] !emissions
+        (fun acc (e : unit Ledger.emission) -> max acc e.bucket)
+        min_int (Ledger.emissions ledger "scale-count")
     in
-    let steady = List.filter (fun (_, (first_at, _)) -> first_at >= warmup) slots in
     let completeness =
-      match steady with
-      | [] -> 0.0
-      | _ ->
-        let counted = List.fold_left (fun s (_, (_, c)) -> s + c) 0 steady in
-        float_of_int counted /. float_of_int (List.length steady * hosts)
+      Ledger.completeness ledger
+        ~queries:[ ("scale-count", fun _ -> hosts) ]
+        (Ledger.Buckets (first, last))
     in
-    (wall, !results, completeness)
+    let results = List.length (Ledger.emissions ledger "scale-count") in
+    (wall, results, if Float.is_nan completeness then 0.0 else completeness)
 
   let measure ~quick ~shards hosts =
     let rng = Rng.create 7 in

@@ -349,6 +349,13 @@ let bytes_series t ~kind =
         Some dst)
     None
 
+let mbps t ?kind lo hi =
+  let bytes kind =
+    match bytes_series t ~kind with None -> 0.0 | Some s -> Series.sum_between s lo hi
+  in
+  let kinds = match kind with Some k -> [ k ] | None -> kinds t in
+  List.fold_left (fun acc k -> acc +. bytes k) 0.0 kinds *. 8.0 /. (hi -. lo) /. 1e6
+
 let set_up t node up =
   if !Obs.enabled && Transport.is_up (shared_transport t) node <> up then
     Obs.trace ~t:(Engine.now t.engine)

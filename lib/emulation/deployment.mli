@@ -72,6 +72,10 @@ val bytes_series : t -> kind:string -> Mortar_sim.Series.t option
 (** A fresh merged series per call, in {!Mortar_net.Transport.bucket}-wide
     buckets. *)
 
+val mbps : t -> ?kind:string -> float -> float -> float
+(** [mbps t lo hi]: mean network load in megabits per second across all
+    links between two sim times — every traffic kind, or only [kind]. *)
+
 val topology : t -> Mortar_net.Topology.t
 
 val hosts : t -> int

@@ -17,6 +17,7 @@ let run ~quick =
   let down_time = 60.0 in
   let h = Harness.create ~seed:17 ~hosts () in
   let d = Harness.deployment h in
+  let mbps h = Mortar_emul.Deployment.mbps (Harness.deployment h) in
   List.iter
     (fun { start; fraction } ->
       Mortar_emul.Deployment.at d start (fun () ->
@@ -44,15 +45,15 @@ let run ~quick =
                 Common.cell_f (Harness.mean_path_length h t0 t1);
                 Common.cell_f (Harness.mean_max_path_length h t0 t1);
                 Common.cell_f (Harness.mean_latency h t0 t1);
-                Common.cell_f (Harness.data_mbps h t0 t1);
-                Common.cell_f (Harness.kind_mbps h ~kind:"heartbeat" t0 t1);
+                Common.cell_f (mbps h t0 t1);
+                Common.cell_f (mbps h ~kind:"heartbeat" t0 t1);
               ]
           end)
         (List.init (int_of_float stop / 10) Fun.id));
   (* Summary vs the paper's headline numbers. *)
   let steady0, steady1 = (30.0, 60.0) in
-  let total = Harness.data_mbps h steady0 steady1 in
-  let hb = Harness.kind_mbps h ~kind:"heartbeat" steady0 steady1 in
+  let total = mbps h steady0 steady1 in
+  let hb = mbps h ~kind:"heartbeat" steady0 steady1 in
   Printf.printf
     "\nsteady state: load %.2f Mbps (heartbeats %.2f), latency %.2f s, path length %.2f (max %.2f)\n"
     total hb
@@ -99,7 +100,7 @@ let run ~quick =
      merging. *)
   let h2 = Harness.create ~seed:17 ~hosts ~aggregate:false () in
   Harness.run_until h2 60.0;
-  let no_agg = Harness.data_mbps h2 30.0 60.0 in
+  let no_agg = mbps h2 30.0 60.0 in
   Printf.printf "no-aggregation load: %.2f Mbps (%.1fx the aggregated load)\n" no_agg
     (no_agg /. total)
 

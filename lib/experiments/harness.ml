@@ -3,7 +3,6 @@ module Peer = Mortar_core.Peer
 module Query = Mortar_core.Query
 module Value = Mortar_core.Value
 module Window = Mortar_core.Window
-module Obs = Mortar_obs.Obs
 
 type recorded = {
   sim_time : float;
@@ -15,16 +14,10 @@ type recorded = {
   age : float;
 }
 
-(* Results live in a private observability registry (always on,
-   independent of the global [Obs.enabled] gate): every figure number is
-   derived from [Result] trace events and query-scoped metrics rather
-   than ad-hoc accumulators, so what an experiment reports is exactly
-   what an external metrics dump would show. *)
 type t = {
   d : D.t;
   treeset : Mortar_overlay.Treeset.t;
-  window : float;
-  reg : Obs.Reg.t;
+  ledger : Peer.result Ledger.t; (* keyed by the root's slot *)
   track_provenance : bool;
 }
 
@@ -44,30 +37,14 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
       ~window:(Window.tumbling window) ~mode ~root:0 ~degree ~total_nodes:hosts ~aggregate
       ~track_provenance ()
   in
-  let t = { d; treeset; window; reg = Obs.Reg.create (); track_provenance } in
+  let t = { d; treeset; ledger = Ledger.create [ query_name ]; track_provenance } in
   for i = 0 to hosts - 1 do
     D.sensor d ~node:i ~stream:"ones" ~period:1.0
       ?truth_slide:(if track_provenance then Some window else None)
       (fun _ -> Value.Int 1)
   done;
-  let scope = Obs.Query query_name in
   Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
-      let value = match r.value with Value.Null -> 0.0 | v -> Value.to_float v in
-      Obs.Reg.incr t.reg ~scope "results";
-      Obs.Reg.observe t.reg ~scope "result_age" r.age;
-      Obs.Reg.observe t.reg ~scope "result_count" (float_of_int r.count);
-      Obs.Reg.trace t.reg ~t:(D.now d)
-        (Obs.Result
-           {
-             query = query_name;
-             slot = r.slot;
-             count = r.count;
-             value;
-             hops = r.hops;
-             hops_max = r.hops_max;
-             age = r.age;
-             prov = (if track_provenance then r.prov else []);
-           }));
+      Ledger.record t.ledger ~query:query_name ~bucket:r.slot ~count:r.count ~at:(D.now d) r);
   D.at d install_at (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   t
 
@@ -75,17 +52,22 @@ let deployment t = t.d
 
 let treeset t = t.treeset
 
-let registry t = t.reg
-
 let run_until t time = D.run_until t.d time
 
 let results t =
-  List.filter_map
-    (function
-      | sim_time, Obs.Result { slot; count; value; hops; hops_max; age; _ } ->
-        Some { sim_time; slot; count; value; hops; hops_max; age }
-      | _ -> None)
-    (Obs.Reg.events t.reg)
+  List.map
+    (fun { Ledger.at; data = (r : Peer.result); _ } ->
+      let value = match r.value with Value.Null -> 0.0 | v -> Value.to_float v in
+      {
+        sim_time = at;
+        slot = r.slot;
+        count = r.count;
+        value;
+        hops = r.hops;
+        hops_max = r.hops_max;
+        age = r.age;
+      })
+    (Ledger.emissions t.ledger query_name)
 
 let results_between t t0 t1 =
   List.filter (fun r -> r.sim_time >= t0 && r.sim_time < t1) (results t)
@@ -93,11 +75,9 @@ let results_between t t0 t1 =
 let provenance_results t =
   if not t.track_provenance then []
   else
-    List.filter_map
-      (function
-        | at, Obs.Result { prov; _ } -> Some (at, prov)
-        | _ -> None)
-      (Obs.Reg.events t.reg)
+    List.map
+      (fun { Ledger.at; data = (r : Peer.result); _ } -> (at, r.prov))
+      (Ledger.emissions t.ledger query_name)
 
 let live_hosts t = List.length (D.up_hosts t.d)
 
@@ -171,34 +151,19 @@ let uninstalled_live_hosts t =
     (fun h -> h <> 0 && not (Peer.has_query (D.peer t.d h) query_name))
     (D.up_hosts t.d)
 
-let bytes_between series t0 t1 =
-  match series with
-  | None -> 0.0
-  | Some s -> Mortar_sim.Series.sum_between s t0 t1
-
-let kind_mbps t ~kind t0 t1 =
-  let bytes = bytes_between (D.bytes_series t.d ~kind) t0 t1 in
-  bytes *. 8.0 /. (t1 -. t0) /. 1e6
-
-let data_mbps t t0 t1 =
-  List.fold_left (fun acc kind -> acc +. kind_mbps t ~kind t0 t1) 0.0 (D.kinds t.d)
-
 let mean_completeness t t0 t1 ~denominator =
-  let rows = results_between t t0 t1 in
-  match rows with
-  | [] -> nan
-  | _ ->
-    let total = List.fold_left (fun acc r -> acc + r.count) 0 rows in
-    float_of_int total /. float_of_int (List.length rows * max 1 denominator)
+  Ledger.completeness t.ledger
+    ~queries:[ (query_name, fun _ -> denominator) ]
+    (Ledger.Delivered (t0, t1))
 
-let mean_path_length t t0 t1 =
-  let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> float_of_int r.hops) rows))
+(* Mean of [f] over the best emissions delivered in [t0, t1). *)
+let mean_of t t0 t1 f =
+  Ledger.windows t.ledger query_name (Ledger.Delivered (t0, t1))
+  |> List.filter_map (fun (_, e) -> Option.map (fun (e : Peer.result Ledger.emission) -> f e.data) e)
+  |> Array.of_list |> Mortar_util.Stats.mean
 
-let mean_max_path_length t t0 t1 =
-  let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> float_of_int r.hops_max) rows))
+let mean_path_length t t0 t1 = mean_of t t0 t1 (fun r -> float_of_int r.hops)
 
-let mean_latency t t0 t1 =
-  let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> r.age) rows))
+let mean_max_path_length t t0 t1 = mean_of t t0 t1 (fun r -> float_of_int r.hops_max)
+
+let mean_latency t t0 t1 = mean_of t t0 t1 (fun r -> r.age)

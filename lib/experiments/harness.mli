@@ -7,8 +7,10 @@
 
     This module builds that deployment — transit-stub topology, Vivaldi,
     network-aware plan, query install, sensors — and records every root
-    result against true simulation time, with bandwidth taken from the
-    transport's per-kind accounting. *)
+    result in a {!Ledger} (keyed by the root's slot) against true
+    simulation time; bandwidth is {!Mortar_emul.Deployment.mbps} of
+    {!deployment}. The [mean_*] figures score the best emission of each window
+    delivered in the interval, by the ledger's policy. *)
 
 type recorded = {
   sim_time : float;
@@ -48,19 +50,12 @@ val deployment : t -> Mortar_emul.Deployment.t
 
 val treeset : t -> Mortar_overlay.Treeset.t
 
-val registry : t -> Mortar_obs.Obs.Reg.t
-(** The harness's private metrics registry (always live, independent of
-    the global [Obs.enabled] gate). Every root result is recorded here as
-    an [Obs.Result] trace event plus query-scoped metrics ([results]
-    counter, [result_age] / [result_count] histograms); the figure
-    accessors below are all derived from it. *)
-
 val query_name : string
 
 val run_until : t -> float -> unit
 
 val results : t -> recorded list
-(** All root results so far, oldest first. *)
+(** All root results so far, re-emissions included, oldest first. *)
 
 val results_between : t -> float -> float -> recorded list
 
@@ -88,20 +83,16 @@ val uninstalled_live_hosts : t -> int list
 (** Live non-root hosts (sorted) that do not have the query installed —
     crash-rejoiners still waiting on reconciliation or fast resync. *)
 
-val data_mbps : t -> float -> float -> float
-(** Mean total network load (megabits per second across all links) between
-    two sim times, all traffic kinds. *)
-
-val kind_mbps : t -> kind:string -> float -> float -> float
-
 val mean_completeness : t -> float -> float -> denominator:int -> float
-(** Mean of [count / denominator] over results in the window. *)
+(** {!Ledger.completeness} of the windows delivered in the interval, each
+    expecting [denominator] contributors. *)
 
 val mean_path_length : t -> float -> float -> float
 
 val mean_max_path_length : t -> float -> float -> float
-(** Mean over results of the longest constituent path — rises under
+(** Mean over windows of the longest constituent path — rises under
     failures as rerouted tuples take extra overlay hops (§7.2.2). *)
 
 val mean_latency : t -> float -> float -> float
-(** Mean result age (seconds behind the window) over the interval. *)
+(** Mean result age (seconds behind the window) over the windows delivered
+    in the interval. *)

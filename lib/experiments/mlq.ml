@@ -178,8 +178,9 @@ let attach_sensors d specs =
          D.sensor d ~node ~stream ~period:1.0 (fun _ -> Value.Int 1))
 
 (* ------------------------------------------------------------------ *)
-(* Delivered-result recording: per logical query, the best count seen
-   for each window at its point of consumption (the subscriber).
+(* Delivered results go to a {!Ledger}, one table per logical query at
+   its point of consumption (the subscriber), created up-front and then
+   mutated only from that one delivery host.
 
    Windows are keyed by their absolute birth instant, recovered at the
    delivery site as [round (now - age)]: every sensor fires at integer
@@ -190,60 +191,23 @@ let attach_sensors d specs =
    re-installs the physical query, so the two incarnations' slots are
    not comparable. *)
 
-type sink = (string, (int, int) Hashtbl.t) Hashtbl.t
+let sink_for specs : unit Ledger.t =
+  Ledger.create (List.map (fun (s : Spec.t) -> s.Spec.name) specs)
 
-(* Every logical query's table is created up-front (single-threaded) and
-   then mutated only from its one delivery host, so the sharded runtime
-   can run delivery callbacks on different domains without the outer
-   table ever being written concurrently. *)
-let sink_for specs : sink =
-  let sink = Hashtbl.create 64 in
-  List.iter (fun (s : Spec.t) -> Hashtbl.replace sink s.Spec.name (Hashtbl.create 32)) specs;
-  sink
+let deliver d sink name ~age ~count =
+  let now = D.now d in
+  Ledger.record sink ~query:name ~bucket:(int_of_float (Float.round (now -. age))) ~count ~at:now ()
 
-let bucket ~now ~age = int_of_float (Float.round (now -. age))
+(* Delivered completeness of the windows due in [lo, hi) — the window
+   born at integer w (1 s windows) is due around w + 1. [denom] gives each
+   spec's expected contributor count. *)
+let score sink specs ~denom ~lo ~hi =
+  Ledger.completeness sink
+    ~queries:(List.map (fun (s : Spec.t) -> (s.Spec.name, fun _ -> denom s)) specs)
+    (Ledger.Buckets (int_of_float lo - 1, int_of_float hi - 2))
 
-let record (sink : sink) name slot count =
-  match Hashtbl.find_opt sink name with
-  | None -> ()
-  | Some tbl ->
-    let cur = Option.value (Hashtbl.find_opt tbl slot) ~default:0 in
-    if count > cur then Hashtbl.replace tbl slot count
-
-(* Mean delivered completeness over the window-due range [lo, hi): the
-   window born at integer w (1 s windows) is due around w + 1; a window
-   with no delivery counts as zero. [denom] gives each spec's
-   completeness denominator. *)
-let completeness (sink : sink) specs ~denom ~lo ~hi =
-  let lo_s = int_of_float lo - 1 and hi_s = int_of_float hi - 2 in
-  let nslots = hi_s - lo_s + 1 in
-  if nslots <= 0 || specs = [] then nan
-  else begin
-    let per_spec (s : Spec.t) =
-      let dn = max 1 (denom s) in
-      let tbl = Hashtbl.find_opt sink s.Spec.name in
-      let acc = ref 0.0 in
-      for slot = lo_s to hi_s do
-        let c =
-          match tbl with
-          | None -> 0
-          | Some t -> Option.value (Hashtbl.find_opt t slot) ~default:0
-        in
-        acc := !acc +. (float_of_int (min c dn) /. float_of_int dn)
-      done;
-      !acc /. float_of_int nslots
-    in
-    List.fold_left (fun acc s -> acc +. per_spec s) 0.0 specs
-    /. float_of_int (List.length specs)
-  end
-
-let mbps d lo hi =
-  let bytes kind =
-    match D.bytes_series d ~kind with
-    | None -> 0.0
-    | Some s -> Mortar_sim.Series.sum_between s lo hi
-  in
-  List.fold_left (fun acc k -> acc +. bytes k) 0.0 (D.kinds d) *. 8.0 /. (hi -. lo) /. 1e6
+(* Kept under this name because perfbench/main.ml calls it. *)
+let mbps = D.mbps
 
 (* ------------------------------------------------------------------ *)
 (* One deployment running one mode at one query count.                 *)
@@ -251,24 +215,9 @@ let mbps d lo hi =
 type setup = {
   d : D.t;
   specs : Spec.t list;
-  sink : sink;
+  sink : unit Ledger.t;
   reg : Registry.t option; (* Some in shared mode *)
 }
-
-let apply_install st at_time = function
-  | Registry.Install { phys; root; meta; treeset; subscribers }
-  | Registry.Replan { phys; root; meta; treeset; subscribers; _ } ->
-    D.at st.d at_time (fun () ->
-        Peer.install_query (D.peer st.d root) meta treeset;
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys subscribers)
-  | Registry.Update_fanout { phys; root; subscribers } ->
-    D.at st.d at_time (fun () ->
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys subscribers)
-  | Registry.Remove { phys; root } ->
-    D.at st.d at_time (fun () ->
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys [];
-        if Peer.plan_cached (D.peer st.d root) ~name:phys then
-          Peer.remove_query (D.peer st.d root) ~name:phys)
 
 (* Fires synchronously from inside an engine callback (re-plan path). *)
 let apply_now st = function
@@ -282,6 +231,8 @@ let apply_now st = function
     Peer.set_result_forwards (D.peer st.d root) ~query:phys [];
     if Peer.plan_cached (D.peer st.d root) ~name:phys then
       Peer.remove_query (D.peer st.d root) ~name:phys
+
+let apply_install st at_time a = D.at st.d at_time (fun () -> apply_now st a)
 
 let setup ~mode ~q p =
   let seed = 4242 + q in
@@ -311,7 +262,7 @@ let setup ~mode ~q p =
         in
         Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
             if r.query = s.Spec.name then
-              record sink s.Spec.name (bucket ~now:(D.now d) ~age:r.age) r.count);
+              deliver d sink s.Spec.name ~age:r.age ~count:r.count);
         D.at d (install_at i (List.length specs)) (fun () ->
             Peer.install_query (D.peer d root) meta treeset))
       specs;
@@ -352,8 +303,7 @@ let setup ~mode ~q p =
         Peer.on_result (D.peer d h) (fun (r : Peer.result) ->
             List.iter
               (fun (phys, name) ->
-                if r.query = phys then
-                  record sink name (bucket ~now:(D.now d) ~age:r.age) r.count)
+                if r.query = phys then deliver d sink name ~age:r.age ~count:r.count)
               pairs))
       (sorted at_root);
     List.iter
@@ -362,9 +312,7 @@ let setup ~mode ~q p =
             List.iter
               (fun (phys, name) ->
                 if rr.Peer.r_query = phys then
-                  record sink name
-                    (bucket ~now:(D.now d) ~age:rr.Peer.r_age)
-                    rr.Peer.r_count)
+                  deliver d sink name ~age:rr.Peer.r_age ~count:rr.Peer.r_count)
               pairs))
       (sorted remote);
     st
@@ -380,7 +328,7 @@ let run_point ~mode ~q p =
   {
     mbps = mbps st.d p.steady_lo p.steady_hi;
     compl =
-      completeness st.sink st.specs
+      score st.sink st.specs
         ~denom:(fun s -> Array.length s.Spec.publishers)
         ~lo:p.steady_lo ~hi:p.steady_hi;
     physical = (match st.reg with Some r -> Registry.physical_count r | None -> q);
@@ -453,9 +401,9 @@ let run_churn ~replan ~q p =
       s.Spec.publishers
   in
   {
-    pre = completeness st.sink st.specs ~denom:all ~lo:p.pre_lo ~hi:p.pre_hi;
-    degraded = completeness st.sink st.specs ~denom:survivors ~lo:p.degr_lo ~hi:p.degr_hi;
-    post = completeness st.sink st.specs ~denom:survivors ~lo:p.post_lo ~hi:p.post_hi;
+    pre = score st.sink st.specs ~denom:all ~lo:p.pre_lo ~hi:p.pre_hi;
+    degraded = score st.sink st.specs ~denom:survivors ~lo:p.degr_lo ~hi:p.degr_hi;
+    post = score st.sink st.specs ~denom:survivors ~lo:p.post_lo ~hi:p.post_hi;
     replans = Registry.replans reg;
   }
 

@@ -145,31 +145,23 @@ let draw_value cdf ~host ~k =
   !lo
 
 (* ------------------------------------------------------------------ *)
-(* Per-slot delivered answers, best result (highest participant count)
-   per window slot. Tables are created single-threaded before the run
-   and mutated only from the root host's delivery callback. *)
+(* Delivered answers go to a {!Ledger} keyed by the root's slot. Each
+   entry keeps what the scorer reads, never the raw value: the exact
+   path's tuple list is hosts x tuples-per-window long. The ledger is
+   created before the run and recorded into only from the root host's
+   delivery callback. *)
 
-type exact_row = {
-  xquality : int;
-  xcount : float;
-  xdistinct : float;
-  xf2 : float;
-  xhot : float array;
-}
+type exact_row = { xcount : float; xdistinct : float; xf2 : float; xhot : float array }
 
-type est_row = { equality : int; est : float }
+type cm_row = { ctotal : float; chot : float array }
 
-type cm_row = { cquality : int; ctotal : float; chot : float array }
+type answer = Exact of exact_row | Cm of cm_row | Estimate of float
 
-(* ------------------------------------------------------------------ *)
-
-type side = {
-  d : D.t;
-  exact : (int, exact_row) Hashtbl.t; (* filled in exact mode *)
-  hll : (int, est_row) Hashtbl.t;
-  agms : (int, est_row) Hashtbl.t;
-  cm : (int, cm_row) Hashtbl.t;
-}
+(* [hold]: the longest the root can hold a window after it closes. The
+   root's eviction cap runs from a window's first arrival there (its own
+   source summary, at the close) for min_timeout + tree height x
+   level_wait (Peer.config). *)
+type side = { d : D.t; ledger : answer Ledger.t; hold : float }
 
 let project field = [ Expr.Map [ ("k", Expr.Field field) ] ]
 
@@ -200,75 +192,49 @@ let setup ~mode p =
     in
     D.at d p.install_at (fun () -> Peer.install_query (D.peer d root) meta treeset)
   in
-  let exact = Hashtbl.create 64 in
-  let hll = Hashtbl.create 64 in
-  let agms = Hashtbl.create 64 in
-  let cm = Hashtbl.create 64 in
-  let quality = Hashtbl.create 256 in
-  (* keyed (query, slot) *)
-  let best name slot q make =
-    let better =
-      match Hashtbl.find_opt quality (name, slot) with None -> true | Some c -> q > c
-    in
-    if better then begin
-      Hashtbl.replace quality (name, slot) q;
-      make ()
-    end
-  in
+  let ledger = Ledger.create [ "xunion"; "scm"; "shll"; "sagms" ] in
   (match mode with
-  | `Exact ->
-    install "xunion" ~pre:(project "v") ~op:(Op.Union { cap = 0 });
-    Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
-        match r.Peer.value with
-        | Value.List vals when r.Peer.query = "xunion" ->
-          best "xunion" r.Peer.slot r.Peer.count (fun () ->
-              let freq = Hashtbl.create 1024 in
-              List.iter
-                (fun v ->
-                  let x = Value.to_int (Value.field v "k") in
-                  Hashtbl.replace freq x
-                    (1 + Option.value (Hashtbl.find_opt freq x) ~default:0))
-                vals;
-              let f2 =
-                Hashtbl.fold (fun _ c acc -> acc +. (float_of_int c *. float_of_int c)) freq 0.0
-              in
-              let hot =
-                Array.init p.nhot (fun i ->
-                    float_of_int (Option.value (Hashtbl.find_opt freq i) ~default:0))
-              in
-              Hashtbl.replace exact r.Peer.slot
-                {
-                  xquality = r.Peer.count;
-                  xcount = float_of_int (List.length vals);
-                  xdistinct = float_of_int (Hashtbl.length freq);
-                  xf2 = f2;
-                  xhot = hot;
-                })
-        | _ -> ())
+  | `Exact -> install "xunion" ~pre:(project "v") ~op:(Op.Union { cap = 0 })
   | `Sketch ->
     install "scm" ~pre:(project "v")
       ~op:(Op.Sketch_count_min { depth = p.cm_depth; width = p.cm_width; seed = p.sk_seed });
     install "shll" ~pre:(project "v") ~op:(Op.Sketch_hll { b = p.hll_b; seed = p.sk_seed });
     install "sagms" ~pre:(project "v")
-      ~op:(Op.Sketch_agms { rows = p.agms_rows; cols = p.agms_cols; seed = p.sk_seed });
-    Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
+      ~op:(Op.Sketch_agms { rows = p.agms_rows; cols = p.agms_cols; seed = p.sk_seed }));
+  Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
+      let answer =
         match (r.Peer.query, r.Peer.value) with
+        | "xunion", Value.List vals ->
+          let freq = Hashtbl.create 1024 in
+          List.iter
+            (fun v ->
+              let x = Value.to_int (Value.field v "k") in
+              Hashtbl.replace freq x (1 + Option.value (Hashtbl.find_opt freq x) ~default:0))
+            vals;
+          Some
+            (Exact
+               {
+                 xcount = float_of_int (List.length vals);
+                 xdistinct = float_of_int (Hashtbl.length freq);
+                 xf2 =
+                   Hashtbl.fold (fun _ c acc -> acc +. (float_of_int c *. float_of_int c)) freq 0.0;
+                 xhot =
+                   Array.init p.nhot (fun i ->
+                       float_of_int (Option.value (Hashtbl.find_opt freq i) ~default:0));
+               })
         | "scm", Value.Str packed ->
-          best "scm" r.Peer.slot r.Peer.count (fun () ->
-              let s = Cm.of_string packed in
-              let hot =
-                Array.init p.nhot (fun i ->
-                    float_of_int (Cm.query s ~key:(Op.sketch_key (Value.Int i))))
-              in
-              Hashtbl.replace cm r.Peer.slot
-                { cquality = r.Peer.count; ctotal = float_of_int (Cm.total s); chot = hot })
-        | "shll", Value.Float est ->
-          best "shll" r.Peer.slot r.Peer.count (fun () ->
-              Hashtbl.replace hll r.Peer.slot { equality = r.Peer.count; est })
-        | "sagms", Value.Float est ->
-          best "sagms" r.Peer.slot r.Peer.count (fun () ->
-              Hashtbl.replace agms r.Peer.slot { equality = r.Peer.count; est })
-        | _ -> ()));
+          let s = Cm.of_string packed in
+          let hot =
+            Array.init p.nhot (fun i -> float_of_int (Cm.query s ~key:(Op.sketch_key (Value.Int i))))
+          in
+          Some (Cm { ctotal = float_of_int (Cm.total s); chot = hot })
+        | ("shll" | "sagms"), Value.Float est -> Some (Estimate est)
+        | _ -> None
+      in
+      Option.iter
+        (Ledger.record ledger ~query:r.Peer.query ~bucket:r.Peer.slot ~count:r.Peer.count
+           ~at:(D.now d))
+        answer);
   (* Identical composed churn in both deployments: the schedule is a
      pure function of (topology, rng) and this rng is dedicated. *)
   let churn_rng = Rng.create 31337 in
@@ -278,49 +244,34 @@ let setup ~mode p =
       ~burst_len:2.5 ~kill_period:8.0 ~kill_fraction:0.25 ~kill_len:3.0 ()
   in
   D.schedule_faults d faults;
-  { d; exact; hll; agms; cm }
+  let height =
+    Array.fold_left
+      (fun h tr -> max h (Mortar_overlay.Tree.height tr))
+      0 (Mortar_overlay.Treeset.trees treeset)
+  in
+  let cfg = Peer.default_config in
+  { d; ledger; hold = cfg.Peer.min_timeout +. (float_of_int height *. cfg.Peer.level_wait) }
 
 (* ------------------------------------------------------------------ *)
 
-let mbps d lo hi =
-  let bytes kind =
-    match D.bytes_series d ~kind with
-    | None -> 0.0
-    | Some s -> Mortar_sim.Series.sum_between s lo hi
-  in
-  List.fold_left (fun acc k -> acc +. bytes k) 0.0 (D.kinds d) *. 8.0 /. (hi -. lo) /. 1e6
+(* Slot s spans [install_at + s w, install_at + (s + 1) w) at the root.
+   A slot is scored when it lies inside [steady_lo, steady_hi] and closes
+   at least [hold] before [run_end], so every scored window can deliver
+   before the run stops. Returns the inclusive slot range. *)
+let steady_slots p ~hold =
+  let slot_at t = (t -. p.install_at) /. p.window in
+  ( int_of_float (Float.ceil (slot_at p.steady_lo)),
+    int_of_float (Float.floor (slot_at (Float.min p.steady_hi (p.run_end -. hold)))) - 1 )
 
-let steady_slots p =
-  let w = p.window in
-  let lo = int_of_float (p.steady_lo /. w) + 1 in
-  let hi = int_of_float (p.steady_hi /. w) - 1 in
-  List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
+let mean_of slots get = Mortar_util.Stats.mean (Array.of_list (List.filter_map get slots))
 
-(* Mean of (exact, estimate) pairs over the slots where both sides
-   delivered an answer, folded by [err] into a relative error. *)
+(* Mean relative error of (exact, estimate) pairs over the slots where
+   both sides delivered an answer. *)
 let mean_over slots pairs =
-  let n = ref 0 and acc = ref 0.0 in
-  List.iter
-    (fun slot ->
+  mean_of slots (fun slot ->
       match pairs slot with
-      | Some (x, e) when x > 0.0 ->
-        incr n;
-        acc := !acc +. (Float.abs (e -. x) /. x)
-      | _ -> ())
-    slots;
-  if !n = 0 then nan else !acc /. float_of_int !n
-
-let mean_of slots get =
-  let n = ref 0 and acc = ref 0.0 in
-  List.iter
-    (fun slot ->
-      match get slot with
-      | Some v ->
-        incr n;
-        acc := !acc +. v
-      | None -> ())
-    slots;
-  if !n = 0 then nan else !acc /. float_of_int !n
+      | Some (x, e) when x > 0.0 -> Some (Float.abs (e -. x) /. x)
+      | _ -> None)
 
 let run ~quick =
   let p = params ~quick in
@@ -328,7 +279,24 @@ let run ~quick =
   D.run_until x.d p.run_end;
   let s = setup ~mode:`Sketch p in
   D.run_until s.d p.run_end;
-  let slots = steady_slots p in
+  let lo, hi = steady_slots p ~hold:x.hold in
+  let slots = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i) in
+  (* Each side's best answer per slot, by the ledger's policy. *)
+  let exact_at slot =
+    match Ledger.best x.ledger "xunion" slot with
+    | Some { count; data = Exact r; _ } -> Some (count, r)
+    | _ -> None
+  in
+  let cm_at slot =
+    match Ledger.best s.ledger "scm" slot with
+    | Some { count; data = Cm r; _ } -> Some (count, r)
+    | _ -> None
+  in
+  let estimate_at query slot =
+    match Ledger.best s.ledger query slot with
+    | Some { data = Estimate e; _ } -> Some e
+    | _ -> None
+  in
   (* The two deployments lose different messages (same fault schedule,
      independent per-message draws), so raw delivered totals inherit a
      cross-deployment delivery gap that has nothing to do with sketch
@@ -338,73 +306,69 @@ let run ~quick =
      error. Completeness is reported separately, nothing is hidden. *)
   let count_err =
     mean_over slots (fun slot ->
-        match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.cm slot) with
-        | Some xr, Some cr when xr.xquality > 0 && cr.cquality > 0 ->
-          Some
-            ( xr.xcount /. float_of_int xr.xquality,
-              cr.ctotal /. float_of_int cr.cquality )
+        match (exact_at slot, cm_at slot) with
+        | Some (xn, xr), Some (cn, cr) when xn > 0 && cn > 0 ->
+          Some (xr.xcount /. float_of_int xn, cr.ctotal /. float_of_int cn)
         | _ -> None)
   in
-  let distinct_err =
+  let versus query get =
     mean_over slots (fun slot ->
-        match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.hll slot) with
-        | Some xr, Some er -> Some (xr.xdistinct, er.est)
+        match (exact_at slot, estimate_at query slot) with
+        | Some (_, xr), Some est -> Some (get xr, est)
         | _ -> None)
   in
-  let f2_err =
-    mean_over slots (fun slot ->
-        match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.agms slot) with
-        | Some xr, Some er -> Some (xr.xf2, er.est)
-        | _ -> None)
-  in
+  let distinct_err = versus "shll" (fun xr -> xr.xdistinct) in
+  let f2_err = versus "sagms" (fun xr -> xr.xf2) in
   (* Hot-key point queries: mean over keys of mean-over-slots error. *)
   let hot_err =
     let per_key i =
       mean_over slots (fun slot ->
-          match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.cm slot) with
-          | Some xr, Some cr -> Some (xr.xhot.(i), cr.chot.(i))
+          match (exact_at slot, cm_at slot) with
+          | Some (_, xr), Some (_, cr) -> Some (xr.xhot.(i), cr.chot.(i))
           | _ -> None)
     in
-    let errs = List.init p.nhot per_key |> List.filter (fun e -> not (Float.is_nan e)) in
-    if errs = [] then nan
-    else List.fold_left ( +. ) 0.0 errs /. float_of_int (List.length errs)
+    List.init p.nhot per_key
+    |> List.filter (fun e -> not (Float.is_nan e))
+    |> Array.of_list |> Mortar_util.Stats.mean
   in
-  let xmean get = mean_of slots (fun sl -> Option.map get (Hashtbl.find_opt x.exact sl)) in
-  let smean tbl get = mean_of slots (fun sl -> Option.map get (Hashtbl.find_opt tbl sl)) in
-  let xbw = mbps x.d p.steady_lo p.steady_hi in
-  let sbw = mbps s.d p.steady_lo p.steady_hi in
-  let total = float_of_int p.hosts in
-  let xcompl = xmean (fun r -> float_of_int r.xquality /. total) in
-  let scompl = smean s.hll (fun (r : est_row) -> float_of_int r.equality /. total) in
+  let xmean get = mean_of slots (fun sl -> Option.map get (exact_at sl)) in
+  let cmean get = mean_of slots (fun sl -> Option.map get (cm_at sl)) in
+  let emean query = mean_of slots (estimate_at query) in
+  let xbw = D.mbps x.d p.steady_lo p.steady_hi in
+  let sbw = D.mbps s.d p.steady_lo p.steady_hi in
+  let compl side query =
+    Ledger.completeness side.ledger ~queries:[ (query, fun _ -> p.hosts) ] (Ledger.Buckets (lo, hi))
+  in
+  let xcompl = compl x "xunion" in
+  let scompl = compl s "shll" in
+  let per_host n total = total /. float_of_int (max 1 n) in
+  let hot_mean hot = Array.fold_left ( +. ) 0.0 hot /. float_of_int p.nhot in
   Common.table
     ~columns:[ "metric"; "exact"; "sketch"; "rel err" ]
     (fun () ->
       [
         [
           "count/host";
-          Common.cell_f (xmean (fun r -> r.xcount /. float_of_int (max 1 r.xquality)));
-          Common.cell_f
-            (smean s.cm (fun (r : cm_row) -> r.ctotal /. float_of_int (max 1 r.cquality)));
+          Common.cell_f (xmean (fun (n, r) -> per_host n r.xcount));
+          Common.cell_f (cmean (fun (n, r) -> per_host n r.ctotal));
           Common.cell_pct count_err;
         ];
         [
           "distinct";
-          Common.cell_f (xmean (fun r -> r.xdistinct));
-          Common.cell_f (smean s.hll (fun (r : est_row) -> r.est));
+          Common.cell_f (xmean (fun (_, r) -> r.xdistinct));
+          Common.cell_f (emean "shll");
           Common.cell_pct distinct_err;
         ];
         [
           "f2";
-          Common.cell_f (xmean (fun r -> r.xf2));
-          Common.cell_f (smean s.agms (fun (r : est_row) -> r.est));
+          Common.cell_f (xmean (fun (_, r) -> r.xf2));
+          Common.cell_f (emean "sagms");
           Common.cell_pct f2_err;
         ];
         [
           "hot keys";
-          Common.cell_f (xmean (fun r -> Array.fold_left ( +. ) 0.0 r.xhot /. float_of_int p.nhot));
-          Common.cell_f
-            (smean s.cm (fun (r : cm_row) ->
-                 Array.fold_left ( +. ) 0.0 r.chot /. float_of_int p.nhot));
+          Common.cell_f (xmean (fun (_, r) -> hot_mean r.xhot));
+          Common.cell_f (cmean (fun (_, r) -> hot_mean r.chot));
           Common.cell_pct hot_err;
         ];
       ]);

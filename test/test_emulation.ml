@@ -123,7 +123,7 @@ let test_harness_smoke () =
   Alcotest.(check bool) (Printf.sprintf "completeness high (%.2f)" c) true (c > 0.9);
   Alcotest.(check bool) "union bound full" true (Mortar_experiments.Harness.union_bound h = 32);
   Alcotest.(check bool) "bandwidth accounted" true
-    (Mortar_experiments.Harness.data_mbps h 15.0 30.0 > 0.0)
+    (Mortar_emul.Deployment.mbps (Mortar_experiments.Harness.deployment h) 15.0 30.0 > 0.0)
 
 let tests =
   [

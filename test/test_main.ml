@@ -20,6 +20,7 @@ let () =
       ("faults", Test_faults.tests);
       ("peer", Test_peer.tests);
       ("experiments", Test_experiments.tests);
+      ("result-ledger", Test_ledger.tests);
       ("obs", Test_obs.tests);
       ("edge-cases", Test_edge_cases.tests);
       ("integration", Test_integration.tests);

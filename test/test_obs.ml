@@ -1,6 +1,7 @@
 (* The observability layer: bucket semantics, scope merging, the gated
    default registry, JSON-lines round-trips, and the harness contract
-   (figures are derived from the registry, never a side accumulator). *)
+   (its ledger holds exactly the root results the peers trace, and its
+   figures are the ledger's policy applied to them). *)
 
 module Obs = Mortar_obs.Obs
 module J = Mortar_obs.Obs_json
@@ -181,34 +182,74 @@ let test_trace_roundtrip () =
       Alcotest.(check bool) "event round-trips" true (e = e'))
     evs back
 
-let test_harness_figures_from_registry () =
-  (* The harness's figure accessors must agree with its registry: same
-     result stream, no second bookkeeping path to drift from. *)
-  let h = Harness.create ~hosts:24 ~transits:4 ~stubs:6 ~bf:4 ~window:1.0 () in
-  Harness.run_until h 15.0;
-  let reg = Harness.registry h in
-  let results = Harness.results h in
-  let scope = Obs.Query Harness.query_name in
-  Alcotest.(check bool) "harness produced results" true (results <> []);
-  Alcotest.(check int) "results counter matches list"
-    (List.length results)
-    (Obs.Reg.counter_value reg ~scope "results");
-  (match Obs.Reg.histogram reg ~scope "result_age" with
-  | None -> Alcotest.fail "result_age histogram missing"
-  | Some ha ->
-    Alcotest.(check int) "result_age count matches" (List.length results) ha.Obs.h_count;
-    let sum_age = List.fold_left (fun a r -> a +. r.Harness.age) 0.0 results in
-    Alcotest.(check (float 1e-6)) "result_age sum matches" sum_age ha.Obs.h_sum);
-  (* And the recorded list itself is reconstructed from Result events. *)
-  let result_events =
-    List.filter_map
-      (function _, Obs.Result _ -> Some () | _ -> None)
-      (Obs.Reg.events reg)
-  in
-  Alcotest.(check int) "one Result event per recorded result"
-    (List.length results) (List.length result_events);
-  let c1 = Harness.mean_completeness h 5.0 15.0 ~denominator:24 in
-  Alcotest.(check bool) "derived completeness sane" true (c1 > 0.0 && c1 <= 1.0)
+let test_harness_figures_from_ledger () =
+  (* The harness's figures come from its result ledger; the ledger must
+     hold exactly the root results the peers trace into the global
+     registry, and the figures must be the ledger's policy applied to
+     them: best emission per slot, capped, delivered in the interval. *)
+  let saved = !Obs.enabled in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := saved;
+      Obs.Reg.clear Obs.default)
+    (fun () ->
+      Obs.Reg.clear Obs.default;
+      Obs.enabled := true;
+      let hosts = 24 in
+      let h = Harness.create ~hosts ~transits:4 ~stubs:6 ~bf:4 ~window:1.0 () in
+      Harness.run_until h 15.0;
+      let reg = Obs.default in
+      let results = Harness.results h in
+      let scope = Obs.Query Harness.query_name in
+      Alcotest.(check bool) "harness produced results" true (results <> []);
+      Alcotest.(check int) "results counter matches list"
+        (List.length results)
+        (Obs.Reg.counter_value reg ~scope "results");
+      (match Obs.Reg.histogram reg ~scope "result_age" with
+      | None -> Alcotest.fail "result_age histogram missing"
+      | Some ha ->
+        Alcotest.(check int) "result_age count matches" (List.length results) ha.Obs.h_count;
+        let sum_age = List.fold_left (fun a r -> a +. r.Harness.age) 0.0 results in
+        Alcotest.(check (float 1e-6)) "result_age sum matches" sum_age ha.Obs.h_sum);
+      let result_events =
+        List.filter_map
+          (function
+            | _, Obs.Result { query; slot; count; _ } when query = Harness.query_name ->
+              Some (slot, count)
+            | _ -> None)
+          (Obs.Reg.events reg)
+      in
+      Alcotest.(check (list (pair int int)))
+        "one Result event per recorded result"
+        (List.map (fun r -> (r.Harness.slot, r.Harness.count)) results)
+        result_events;
+      (* The figures, recomputed by hand from the recorded results. *)
+      let t0 = 5.0 and t1 = 15.0 in
+      let best = Hashtbl.create 16 in
+      List.iter
+        (fun (r : Harness.recorded) ->
+          match Hashtbl.find_opt best r.slot with
+          | Some (b : Harness.recorded) when b.count >= r.count -> ()
+          | _ -> Hashtbl.replace best r.slot r)
+        results;
+      let picked =
+        Hashtbl.fold
+          (fun _ (r : Harness.recorded) acc ->
+            if r.sim_time >= t0 && r.sim_time < t1 then r :: acc else acc)
+          best []
+        |> List.sort compare
+      in
+      let mean f =
+        List.fold_left (fun a r -> a +. f r) 0.0 picked /. float_of_int (List.length picked)
+      in
+      let c1 = Harness.mean_completeness h t0 t1 ~denominator:hosts in
+      Alcotest.(check bool) "derived completeness sane" true (c1 > 0.0 && c1 <= 1.0);
+      Alcotest.(check (float 1e-9)) "completeness is the ledger's"
+        (mean (fun r -> float_of_int (min r.Harness.count hosts) /. float_of_int hosts))
+        c1;
+      Alcotest.(check (float 1e-9)) "latency is the ledger's"
+        (mean (fun r -> r.Harness.age))
+        (Harness.mean_latency h t0 t1))
 
 let tests =
   [
@@ -219,5 +260,5 @@ let tests =
     Alcotest.test_case "trace cap" `Quick test_trace_cap;
     Alcotest.test_case "metrics sink round-trip" `Quick test_metrics_roundtrip;
     Alcotest.test_case "trace sink round-trip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "harness figures from registry" `Slow test_harness_figures_from_registry;
+    Alcotest.test_case "harness figures from ledger" `Slow test_harness_figures_from_ledger;
   ]
