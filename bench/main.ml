@@ -276,7 +276,7 @@ let run_figures ~quick =
   Printf.printf "\n=== figure regeneration (%s mode) ===\n"
     (if quick then "quick" else "full");
   Mortar_experiments.Registry.ensure ();
-  Mortar_experiments.Common.run_all ~quick
+  Mortar_experiments.Common.run_all ~quick (Mortar_experiments.Common.all ())
 
 (* ------------------------------------------------------------------ *)
 (* --scale: wall-clock cost of the simulator's three hot layers at
@@ -290,6 +290,7 @@ module Scale = struct
   module Engine = Mortar_sim.Engine
   module D = Mortar_emul.Deployment
   module Ledger = Mortar_experiments.Ledger
+  module Scenario = Mortar_experiments.Scenario
 
   type row = {
     hosts : int;
@@ -361,24 +362,17 @@ module Scale = struct
      completing (with near-full completeness) is the tentpole's
      acceptance gate. *)
   let bench_agg_round ~seed ~hosts ~domains ~virtual_s =
-    let rng = Rng.create (seed * 7919) in
-    let topo = Topology.transit_stub rng ~hosts () in
-    let d = D.create_sharded ~seed ~domains topo in
-    let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
-    let treeset = D.plan_random d ~bf:32 ~root:0 ~nodes () in
-    let meta =
-      Mortar_core.Query.make_meta ~name:"scale-count" ~source:"ones"
-        ~op:Mortar_core.Op.Sum ~window:(Mortar_core.Window.tumbling 1.0)
-        ~mode:Mortar_core.Query.Syncless ~root:0 ~degree:4 ~total_nodes:hosts
-        ~aggregate:true ()
+    (* The peer-count scenario on a random bf-32 tree set: random trees
+       need no coordinates, so Vivaldi never runs. *)
+    let { Scenario.d; _ } =
+      Scenario.peer_count ~seed ~hosts
+      |> Scenario.map_tree_sets (fun ts -> { ts with bf = 32; shape = Random })
+      |> Scenario.map_metas (fun m -> { m with name = "scale-count" })
+      |> Scenario.build ~domains
     in
-    for i = 0 to hosts - 1 do
-      D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
-    done;
     let ledger = Ledger.create [ "scale-count" ] in
     Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
         Ledger.record ledger ~query:"scale-count" ~bucket:r.slot ~count:r.count ~at:(D.now d) ());
-    D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
     (* Collect the other layers' garbage before timing, so the round
        measures the engine rather than inherited major-heap debt. *)
     Gc.full_major ();

@@ -46,6 +46,24 @@ let shards_arg =
 
 let set_shards n = Mortar_emul.Deployment.default_domains := max 1 n
 
+(* A converter that accepts only the values [ok] admits: anything else is
+   a usage error (exit 124), like a malformed number. *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let count_arg = checked Arg.int ~what:"an integer >= 1" (fun n -> n >= 1)
+
+let finite_arg ~positive =
+  checked Arg.float
+    ~what:(if positive then "a finite number > 0" else "a finite number >= 0")
+    (fun x -> Float.is_finite x && if positive then x > 0.0 else x >= 0.0)
+
 let with_obs ~metrics_out ~trace_out f =
   if metrics_out <> None || trace_out <> None then begin
     Obs.enabled := true;
@@ -81,7 +99,7 @@ let experiments_cmd =
   let queries =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_arg) None
       & info [ "queries" ] ~docv:"N"
           ~doc:"Run the mlq experiment at a single concurrent-query count instead of its \
                 built-in ladder.")
@@ -90,37 +108,26 @@ let experiments_cmd =
   let run quick shards metrics_out trace_out list_flag planner queries ids =
     setup_registry ();
     set_shards shards;
-    Mortar_experiments.Mlq.planner_override := planner;
-    Mortar_experiments.Mlq.queries_override := queries;
+    let module Common = Mortar_experiments.Common in
+    let module Mlq = Mortar_experiments.Mlq in
+    (* [--planner] and [--queries] narrow the mlq entry alone. *)
+    let restrict (e : Common.experiment) =
+      if e.id <> Mlq.experiment.id then e
+      else { e with run = (fun ~quick -> Mlq.run ?planner ?queries ~quick ()) }
+    in
     if list_flag then begin
       List.iter
-        (fun (e : Mortar_experiments.Common.experiment) ->
-          Printf.printf "%-10s %s\n" e.id e.title)
-        (Mortar_experiments.Common.all ());
+        (fun (e : Common.experiment) -> Printf.printf "%-10s %s\n" e.id e.title)
+        (Common.all ());
       `Ok ()
     end
     else
-      match ids with
-    | [] ->
-      with_obs ~metrics_out ~trace_out (fun () ->
-          Mortar_experiments.Common.run_all ~quick);
-      `Ok ()
-    | ids ->
-      let missing =
-        List.filter (fun id -> Mortar_experiments.Common.find id = None) ids
-      in
-      if missing <> [] then
-        `Error (false, "unknown experiment(s): " ^ String.concat ", " missing)
+      let missing = List.filter (fun id -> Common.find id = None) ids in
+      if missing <> [] then `Error (false, "unknown experiment(s): " ^ String.concat ", " missing)
       else begin
+        let selected = if ids = [] then Common.all () else List.filter_map Common.find ids in
         with_obs ~metrics_out ~trace_out (fun () ->
-            List.iter
-              (fun id ->
-                match Mortar_experiments.Common.find id with
-                | Some e ->
-                  Mortar_experiments.Common.header e;
-                  e.Mortar_experiments.Common.run ~quick
-                | None -> ())
-              ids);
+            Common.run_all ~quick (List.map restrict selected));
         `Ok ()
       end
   in
@@ -151,13 +158,19 @@ let run_cmd =
     Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"QUERY.msl" ~doc:"MSL program.")
   in
   let hosts =
-    Arg.(value & opt int 64 & info [ "hosts" ] ~doc:"Number of simulated peers.")
+    Arg.(value & opt count_arg 64 & info [ "hosts" ] ~doc:"Number of simulated peers (>= 1).")
   in
   let duration =
-    Arg.(value & opt float 30.0 & info [ "duration" ] ~doc:"Simulated seconds to run.")
+    Arg.(
+      value
+      & opt (finite_arg ~positive:false) 30.0
+      & info [ "duration" ] ~doc:"Simulated seconds to run (>= 0).")
   in
   let sensor_rate =
-    Arg.(value & opt float 1.0 & info [ "rate" ] ~doc:"Sensor tuples per second per node.")
+    Arg.(
+      value
+      & opt (finite_arg ~positive:true) 1.0
+      & info [ "rate" ] ~doc:"Sensor tuples per second per node (> 0).")
   in
   let run file hosts duration sensor_rate shards metrics_out trace_out =
     Mortar_wifi.Wifi.register_trilat ();
@@ -172,64 +185,74 @@ let run_cmd =
     match Mortar_core.Msl.parse text with
     | exception Mortar_core.Msl.Parse_error { line; message } ->
       `Error (false, Printf.sprintf "%s:%d: %s" file line message)
-    | program ->
-      with_obs ~metrics_out ~trace_out @@ fun () ->
-      let rng = Mortar_util.Rng.create 2024 in
-      let topo =
-        Mortar_net.Topology.transit_stub rng ~transits:4
-          ~stubs:(max 4 (hosts / 20))
-          ~hosts ()
+    | program -> (
+      let module D = Mortar_emul.Deployment in
+      let module Msl = Mortar_core.Msl in
+      let module Scenario = Mortar_experiments.Scenario in
+      let metas = Msl.query_metas program ~root:0 ~total_nodes:hosts () in
+      let outside = function
+        | Msl.All -> false
+        | Msl.Nodes l -> List.exists (fun n -> n < 0 || n >= hosts) l
       in
-      let d = Mortar_emul.Deployment.create_sharded ~seed:2024 topo in
-      Mortar_emul.Deployment.converge_coordinates d ();
-      let metas = Mortar_core.Msl.query_metas program ~root:0 ~total_nodes:hosts () in
-      List.iter
-        (fun ((meta : Mortar_core.Query.meta), nodes) ->
-          let node_array =
-            match nodes with
-            | Mortar_core.Msl.All -> Array.init (hosts - 1) (fun i -> i + 1)
-            | Mortar_core.Msl.Nodes l -> Array.of_list (List.filter (fun n -> n <> 0) l)
-          in
-          let treeset =
-            if Array.length node_array = 0 then
-              Mortar_overlay.Treeset.random rng ~bf:2 ~d:1 ~root:0 ~nodes:node_array
-            else
-              Mortar_emul.Deployment.plan d ~bf:(min 16 (max 2 (hosts / 8))) ~root:0
-                ~nodes:node_array ()
-          in
-          Mortar_emul.Deployment.at d 1.0 (fun () ->
-              Mortar_core.Peer.install_query (Mortar_emul.Deployment.peer d 0) meta treeset))
-        metas;
-      (* Synthetic sensor: every node emits records {value; node} on every
-         stream name the program sources. *)
+      match List.find_opt (fun (_, nodes) -> outside nodes) metas with
+      | Some ((meta : Mortar_core.Query.meta), _) ->
+        `Error
+          (false, Printf.sprintf "%s: query %s names a node outside 0..%d" file meta.name (hosts - 1))
+      | None ->
+      with_obs ~metrics_out ~trace_out @@ fun () ->
+      (* Every node feeds a synthetic [Ramp] sensor into each stream the
+         program sources but does not define. Scalar payloads feed
+         aggregates directly and still expose a "value" field to
+         select/map expressions. *)
       let sources =
         List.filter_map
           (function
-            | Mortar_core.Msl.Derived_stream { source; _ }
-            | Mortar_core.Msl.Query_def { source; _ } ->
-              if List.exists (fun s -> Mortar_core.Msl.statement_name s = source) program
-              then None
+            | Msl.Derived_stream { source; _ } | Msl.Query_def { source; _ } ->
+              if List.exists (fun s -> Msl.statement_name s = source) program then None
               else Some source)
           program
         |> List.sort_uniq compare
       in
-      List.iter
-        (fun stream ->
-          for node = 0 to hosts - 1 do
-            (* Scalar payloads feed aggregates directly and still expose a
-               "value" field to select/map expressions. *)
-            Mortar_emul.Deployment.sensor d ~node ~stream ~period:(1.0 /. sensor_rate)
-              (fun k -> Mortar_core.Value.Float (float_of_int ((node + k) mod 100)))
-          done)
-        sources;
-      Mortar_core.Peer.on_result
-        (Mortar_emul.Deployment.peer d 0)
-        (fun (r : Mortar_core.Peer.result) ->
-          Printf.printf "[%8.2fs] %s slot=%d count=%d value=%s\n"
-            (Mortar_emul.Deployment.now d) r.query r.slot r.count
-            (Mortar_core.Value.show r.value));
-      Mortar_emul.Deployment.run_until d duration;
-      `Ok ()
+      let { Scenario.d; _ } =
+        Scenario.build
+          {
+            topology = { seed = 2024; hosts; transits = 4; stubs = max 4 (hosts / 20) };
+            deployment =
+              {
+                seed = 2024;
+                config = Mortar_core.Peer.default_config;
+                loss = 0.0;
+                offsets = None;
+                skews = None;
+              };
+            tree_sets =
+              List.map
+                (fun (_, nodes) ->
+                  {
+                    Scenario.root = 0;
+                    members = (match nodes with Msl.All -> All | Msl.Nodes l -> Only l);
+                    bf = min 16 (max 2 (hosts / 8));
+                    degree = 4;
+                    shape = Planned `Cluster_shuffle;
+                  })
+                metas;
+            planner = None;
+            sensors =
+              List.map
+                (fun stream ->
+                  { Scenario.stream; period = 1.0 /. sensor_rate; hosts = All; value = Ramp })
+                sources;
+            queries =
+              List.mapi (fun i (meta, _) -> { Scenario.meta; tree_set = i; at = 1.0 }) metas;
+            faults = [];
+            churn = None;
+          }
+      in
+      Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
+          Printf.printf "[%8.2fs] %s slot=%d count=%d value=%s\n" (D.now d) r.query r.slot
+            r.count (Mortar_core.Value.show r.value));
+      D.run_until d duration;
+      `Ok ())
   in
   let info = Cmd.info "run" ~doc:"Run an MSL program on a simulated federation." in
   Cmd.v info

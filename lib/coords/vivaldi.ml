@@ -13,10 +13,6 @@ let node_create ?(dim = 3) rng =
   (* Small random start breaks the symmetry of an all-zeros system. *)
   { coord = Array.init dim (fun _ -> Rng.uniform rng (-0.001) 0.001); error = 1.0 }
 
-let coordinate n = n.coord
-
-let error_estimate n = n.error
-
 let observe n ~rng ~remote ~remote_error ~rtt =
   let w =
     let denom = n.error +. remote_error in

@@ -33,8 +33,6 @@ type transform =
 val apply : transform list -> Value.t -> Value.t option
 (** Run a transform pipeline; [None] when a [Select] rejects. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_transform : Format.formatter -> transform -> unit
 
 val wire_size : t -> int

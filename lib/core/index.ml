@@ -21,8 +21,6 @@ let overlaps a b = a.tb < b.te -. eps && b.tb < a.te -. eps
 let intersect a b =
   if overlaps a b then Some { tb = max a.tb b.tb; te = min a.te b.te } else None
 
-let contains t x = t.tb -. eps <= x && x < t.te -. eps
-
 type split = { before : t option; overlap : t; after : t option }
 
 let split a b =

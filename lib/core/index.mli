@@ -28,8 +28,6 @@ val overlaps : t -> t -> bool
 
 val intersect : t -> t -> t option
 
-val contains : t -> float -> bool
-
 type split = {
   before : t option; (** Non-overlapping leading region, if any. *)
   overlap : t;       (** The merged region [\[max tb, min te)]. *)

@@ -67,4 +67,3 @@ val kind : payload -> string
     ["result"] ({!Result_fwd} fan-out) or ["control"]. A {!Reliable}
     envelope takes its inner payload's kind; {!Ack}s are ["control"]. *)
 
-val pp : Format.formatter -> payload -> unit

@@ -24,7 +24,6 @@ type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
-  remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
   window_fold : window_fold;
 }
@@ -42,7 +41,6 @@ let sum_impl =
     init = Value.Float 0.0;
     lift = (fun v -> Value.Float (Value.to_float v));
     merge = (fun a b -> Value.Float (Value.to_float a +. Value.to_float b));
-    remove = Some (fun a b -> Value.Float (Value.to_float a -. Value.to_float b));
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -52,7 +50,6 @@ let count_impl =
     init = Value.Int 0;
     lift = (fun _ -> Value.Int 1);
     merge = (fun a b -> Value.Int (Value.to_int a + Value.to_int b));
-    remove = Some (fun a b -> Value.Int (Value.to_int a - Value.to_int b));
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -65,7 +62,6 @@ let avg_impl =
     init = make 0.0 0;
     lift = (fun v -> make (Value.to_float v) 1);
     merge = (fun a b -> make (sum a +. sum b) (count a + count b));
-    remove = Some (fun a b -> make (sum a -. sum b) (count a - count b));
     finalize =
       (fun v ->
         let c = count v in
@@ -84,7 +80,6 @@ let extremum better =
         match (a, b) with
         | Value.Null, x | x, Value.Null -> x
         | a, b -> if better (Value.compare a b) then a else b);
-    remove = None;
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -106,7 +101,6 @@ let top_k_impl ~k ~key =
     init = Value.List [];
     lift = (fun v -> Value.List [ v ]);
     merge = (fun a b -> Value.List (take_k (Value.to_list a @ Value.to_list b)));
-    remove = None;
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -117,7 +111,6 @@ let union_impl ~cap =
     init = Value.List [];
     lift = (fun v -> Value.List [ v ]);
     merge = (fun a b -> Value.List (take (Value.to_list a @ Value.to_list b)));
-    remove = None;
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -143,14 +136,6 @@ let entropy_impl =
           (List.fold_left
              (fun acc (cat, n) -> add acc cat (Value.to_int n))
              (counts a) (counts b)));
-    remove =
-      Some
-        (fun a b ->
-          Value.Record
-            (List.fold_left
-               (fun acc (cat, n) -> add acc cat (-Value.to_int n))
-               (counts a) (counts b)
-            |> List.filter (fun (_, n) -> Value.to_int n > 0)));
     finalize =
       (fun v ->
         let fields = counts v in
@@ -187,7 +172,6 @@ let histogram_impl ~lo ~hi ~bins =
         let i = bin_of (Value.to_float v) in
         Value.List (List.init bins (fun j -> Value.Int (if i = j then 1 else 0))));
     merge = (fun a b -> zip ( + ) (counts a) (counts b));
-    remove = Some (fun a b -> zip ( - ) (counts a) (counts b));
     finalize = id;
     window_fold = Lift_merge;
   }
@@ -249,7 +233,7 @@ let sketch_fault msg = Value.type_error "sketch: %s" msg
    folds into one mutable sketch ([In_place]) and encodes once. A
    [Some estimate] finalizes to that float (an empty window to 0.0);
    [None] keeps the packed sketch as the result. *)
-let sketch_impl ~decode ~encode ~make ~add ~merge ~sub ~estimate =
+let sketch_impl ~decode ~encode ~make ~add ~merge ~estimate =
   let dec = function
     | Value.Str s -> (
       try decode s with Failure msg -> sketch_fault msg)
@@ -267,14 +251,6 @@ let sketch_impl ~decode ~encode ~make ~add ~merge ~sub ~estimate =
     | Value.Null, x | x, Value.Null -> x
     | a, b -> enc (guard merge (dec a) (dec b))
   in
-  let remove =
-    Option.map
-      (fun sub a b ->
-        match (a, b) with
-        | x, Value.Null -> x
-        | a, b -> enc (guard sub (match a with Value.Null -> make () | a -> dec a) (dec b)))
-      sub
-  in
   let finalize =
     match estimate with
     | None -> id
@@ -284,7 +260,6 @@ let sketch_impl ~decode ~encode ~make ~add ~merge ~sub ~estimate =
     init = Value.Null;
     lift;
     merge;
-    remove;
     finalize;
     window_fold = In_place { create = make; add; encode };
   }
@@ -295,20 +270,20 @@ let sketch_count_min_impl ~depth ~width ~seed =
   sketch_impl ~decode:Sketch.Count_min.of_string ~encode:Sketch.Count_min.to_string
     ~make:(fun () -> Sketch.Count_min.create ~depth ~width ~seed)
     ~add:(fun s key -> Sketch.Count_min.add s ~key ~w:1)
-    ~merge:Sketch.Count_min.merge ~sub:(Some Sketch.Count_min.sub) ~estimate:None
+    ~merge:Sketch.Count_min.merge ~estimate:None
 
 let sketch_agms_impl ~rows ~cols ~seed =
   sketch_impl ~decode:Sketch.Agms.of_string ~encode:Sketch.Agms.to_string
     ~make:(fun () -> Sketch.Agms.create ~rows ~cols ~seed)
     ~add:(fun s key -> Sketch.Agms.add s ~key ~w:1)
-    ~merge:Sketch.Agms.merge ~sub:(Some Sketch.Agms.sub)
+    ~merge:Sketch.Agms.merge
     ~estimate:(Some Sketch.Agms.second_moment)
 
 let sketch_hll_impl ~b ~seed =
   sketch_impl ~decode:Sketch.Hll.of_string ~encode:Sketch.Hll.to_string
     ~make:(fun () -> Sketch.Hll.create ~b ~seed)
     ~add:(fun s key -> Sketch.Hll.add s ~key)
-    ~merge:Sketch.Hll.merge ~sub:None ~estimate:(Some Sketch.Hll.estimate)
+    ~merge:Sketch.Hll.merge ~estimate:(Some Sketch.Hll.estimate)
 
 (* ------------------------------------------------------------------ *)
 (* Folding a window's raw tuples into one partial. *)

@@ -4,8 +4,9 @@
     time-division data partitioning, each user-defined operator only
     supplies a [merge] function (inject a tuple into the window — used both
     for merging {e across time} at sources and {e across space} at interior
-    nodes) and an optional [remove] (retract a tuple as it exits the
-    window). No duplicate-insensitive synopses are required (§2.2, §8).
+    nodes). A sliding window is re-folded from its raw tuples at every
+    slide, so no operator needs an inverse. No duplicate-insensitive
+    synopses are required (§2.2, §8).
 
     An operator works over partial values of type {!Value.t}:
 
@@ -13,9 +14,6 @@
     - [lift raw] turns one raw payload into a partial;
     - [merge a b] combines two partials — it must be associative and
       commutative, since summaries arrive in any order over any tree;
-    - [remove part lifted] retracts a previously lifted value (only used by
-      sliding windows with [range > slide]; operators without an inverse
-      leave it [None] and the source recomputes the window);
     - [finalize part] converts a partial to the user-visible result.
 
     {!spec} is the symbolic, wire-friendly form carried inside query
@@ -43,7 +41,7 @@ type spec =
   | Sketch_count_min of { depth : int; width : int; seed : int }
       (** Count-Min frequency sketch ({!Mortar_sketch.Count_min}): the
           result is the packed sketch itself; subscribers point-query it
-          and read the exact total. Linear — supports [remove]. *)
+          and read the exact total. *)
   | Sketch_agms of { rows : int; cols : int; seed : int }
       (** AGMS tug-of-war second-moment (self-join size) sketch
           ({!Mortar_sketch.Agms}); finalizes to the F2 estimate. *)
@@ -71,7 +69,6 @@ type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
-  remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
   window_fold : window_fold;
 }

@@ -20,19 +20,9 @@ type runtime = {
 
 type config = {
   hb_period : float;
-  hb_timeout_factor : float;
-  reconcile_every : int;
-  min_timeout : float;
-  timeout_slack : float;
-  install_chunks : int;
-  boundary_period : float;
-  emitted_horizon : int;
   level_wait : float; (* eviction-time budget per level of headroom *)
   quiet_guard : float; (* deadline extension while merges keep arriving *)
   ctl_retries : int; (* retransmit budget per reliable control message *)
-  ctl_timeout : float; (* base retransmission timeout floor, seconds *)
-  ctl_backoff : float; (* timeout multiplier per attempt *)
-  ctl_jitter : float; (* uniform fraction added to each timeout *)
   self_heal : bool; (* failure-driven tree repair + crash-rejoin warm-up *)
   warmup_buffer : int; (* summaries buffered for an uninstalled query *)
 }
@@ -40,28 +30,30 @@ type config = {
 let default_config =
   {
     hb_period = 2.0;
-    hb_timeout_factor = 3.0;
-    reconcile_every = 3;
-    min_timeout = 0.25;
-    timeout_slack = 0.4;
-    install_chunks = 16;
-    boundary_period = 1.0;
-    emitted_horizon = 64;
     level_wait = 1.0;
     quiet_guard = 0.6;
     (* Off by default: the paper's deployment is fire-and-forget end to
        end, and the figure reproductions must keep that message pattern.
        Robustness-focused runs opt in (see DESIGN.md "Fault model"). *)
     ctl_retries = 0;
-    ctl_timeout = 0.5;
-    ctl_backoff = 2.0;
-    ctl_jitter = 0.25;
     (* Off by default for the same reason: repair mutates views and ships
        extra install metadata, which would shift every seeded figure. The
        soak/robustness runs opt in. *)
     self_heal = false;
     warmup_buffer = 0;
   }
+
+(* Fixed protocol constants. *)
+let hb_timeout_factor = 3.0 (* neighbor dead after this many heartbeat periods *)
+let reconcile_every = 3 (* digest on every k-th heartbeat; 3 in §7.1 *)
+let min_timeout = 0.25
+let timeout_slack = 0.4 (* added to [netDist - age] *)
+let install_chunks = 16 (* parallel install components; 16 in §7.1 *)
+let boundary_period = 1.0 (* stall detection period for tuple windows *)
+let emitted_horizon = 64 (* evicted-slot memory, in slots *)
+let ctl_timeout = 0.5 (* base retransmission timeout floor, seconds *)
+let ctl_backoff = 2.0 (* timeout multiplier per attempt *)
+let ctl_jitter = 0.25 (* uniform fraction added to each timeout *)
 
 type result = {
   query : string;
@@ -308,7 +300,7 @@ let release_partner t node =
 let alive_neighbor t node =
   match Itbl.find_opt t.partners node with
   | None -> true
-  | Some p -> now_local t -. p.last_heard < t.cfg.hb_timeout_factor *. t.cfg.hb_period
+  | Some p -> now_local t -. p.last_heard < hb_timeout_factor *. t.cfg.hb_period
 
 let heard_from t src =
   match Itbl.find_opt t.partners src with
@@ -321,7 +313,7 @@ let heard_from t src =
 let confirmed_alive t node =
   match Itbl.find_opt t.partners node with
   | None -> false
-  | Some p -> now_local t -. p.last_confirmed < t.cfg.hb_timeout_factor *. t.cfg.hb_period
+  | Some p -> now_local t -. p.last_confirmed < hb_timeout_factor *. t.cfg.hb_period
 
 (* ------------------------------------------------------------------ *)
 (* Sending helpers.                                                    *)
@@ -364,13 +356,12 @@ let rec ctl_attempt t p =
   end;
   send_msg t ~dst:p.ctl_dst (Msg.Reliable { token = p.ctl_token; inner = aged_payload t p });
   (* RTO: a floor covering several round trips to this destination, then
-     doubled (by default) per attempt, with uniform jitter so retry storms
+     doubled per attempt, with uniform jitter so retry storms
      desynchronise. *)
-  let base = max t.cfg.ctl_timeout (4.0 *. t.rt.latency_to p.ctl_dst) in
-  let rto = base *. (t.cfg.ctl_backoff ** float_of_int (p.ctl_attempts - 1)) in
+  let base = max ctl_timeout (4.0 *. t.rt.latency_to p.ctl_dst) in
   let rto =
-    if t.cfg.ctl_jitter > 0.0 then rto *. (1.0 +. Rng.float t.ctl_rng t.cfg.ctl_jitter)
-    else rto
+    base *. (ctl_backoff ** float_of_int (p.ctl_attempts - 1))
+    *. (1.0 +. Rng.float t.ctl_rng ctl_jitter)
   in
   p.ctl_timer <- Some (t.rt.set_timer ~after:rto (fun () -> ctl_expire t p))
 
@@ -487,7 +478,7 @@ and mark_emitted t inst (s : Summary.t) =
     (* Prune by age, not slot distance: under clock offset (timestamp
        mode) slot labels from different nodes are far apart, and a
        distance-based watermark would discard every slower cluster. *)
-    let horizon = float_of_int t.cfg.emitted_horizon *. slide in
+    let horizon = float_of_int emitted_horizon *. slide in
     (* Two-pass collect-then-remove: mutating under [Hashtbl.iter] is
        unspecified, and the old [Hashtbl.copy] here allocated a fresh
        table on every eviction of every host. *)
@@ -667,9 +658,9 @@ and ts_insert t inst (s : Summary.t) =
     match (inst.meta.Query.window, inst.meta.Query.mode) with
     | Window.Time _, Query.Syncless when t.rt.self = inst.meta.Query.root ->
       max
-        (b +. t.cfg.min_timeout)
-        (s.Summary.index.Index.te +. max nd inst.netdist_hi +. t.cfg.timeout_slack)
-    | _ -> b +. max t.cfg.min_timeout (nd -. s.age +. t.cfg.timeout_slack)
+        (b +. min_timeout)
+        (s.Summary.index.Index.te +. max nd inst.netdist_hi +. timeout_slack)
+    | _ -> b +. max min_timeout (nd -. s.age +. timeout_slack)
   in
   Ts_list.insert inst.ts ~now:b ~deadline s;
   if !Obs.enabled then begin
@@ -782,7 +773,7 @@ and boundary_check t inst =
     end);
   inst.raw_seen <- false;
   inst.boundary_timer <-
-    Some (t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst))
+    Some (t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst))
 
 and inject t ~stream ?true_slot payload =
   (* Sorted instance order: a tuple-window emit fired from here sends
@@ -1041,7 +1032,7 @@ let install_local t (meta : Query.meta) view ~install_age =
         |> List.fold_left max 0
       in
       let hard_cap =
-        let budget = t.cfg.min_timeout +. (float_of_int headroom *. t.cfg.level_wait) in
+        let budget = min_timeout +. (float_of_int headroom *. t.cfg.level_wait) in
         match meta.mode with
         | Query.Syncless -> budget
         | Query.Timestamp ->
@@ -1096,7 +1087,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           Some (t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst))
       | Window.Tuples _ ->
         inst.boundary_timer <-
-          Some (t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst)));
+          Some (t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst)));
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
       Hashtbl.remove t.fast_resync meta.name;
@@ -1165,7 +1156,7 @@ let install_query t (meta : Query.meta) treeset =
     invalid_arg "Peer.install_query: meta.root is not this peer";
   Hashtbl.replace t.plans meta.Query.name (meta, Some treeset);
   let chunks =
-    Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:t.cfg.install_chunks
+    Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:install_chunks
   in
   List.iter
     (fun (chunk : Query.chunk) ->
@@ -1214,7 +1205,7 @@ let request_view t ~name ~root =
   let local = now_local t in
   let recently =
     match Hashtbl.find_opt t.pending_views name with
-    | Some at -> local -. at < float_of_int t.cfg.reconcile_every *. t.cfg.hb_period
+    | Some at -> local -. at < float_of_int reconcile_every *. t.cfg.hb_period
     | None -> false
   in
   if not recently then begin
@@ -1249,7 +1240,7 @@ let maybe_reconcile t ~src ~remote_digest =
   if remote_digest <> digest t then begin
     let p = partner_of t src in
     let local = now_local t in
-    let min_gap = float_of_int t.cfg.reconcile_every *. t.cfg.hb_period in
+    let min_gap = float_of_int reconcile_every *. t.cfg.hb_period in
     if local -. p.last_reconcile >= min_gap then begin
       p.last_reconcile <- local;
       t.n_reconciliations <- t.n_reconciliations + 1;
@@ -1374,7 +1365,7 @@ let repair_instance t name inst =
    no RNG draws — and iteration collects into a sorted list first (D3). *)
 let sweep_idle t =
   let local = now_local t in
-  let horizon = 4.0 *. t.cfg.hb_timeout_factor *. t.cfg.hb_period in
+  let horizon = 4.0 *. hb_timeout_factor *. t.cfg.hb_period in
   let stale =
     Itbl.fold
       (fun n p acc ->
@@ -1412,7 +1403,7 @@ let heartbeat_targets t =
 
 let rec heartbeat_tick t =
   t.hb_counter <- t.hb_counter + 1;
-  let with_digest = t.hb_counter mod t.cfg.reconcile_every = 0 in
+  let with_digest = t.hb_counter mod reconcile_every = 0 in
   let d = if with_digest then Some (digest t) else None in
   List.iter (fun dst -> send_msg t ~dst (Msg.Heartbeat { digest = d })) (heartbeat_targets t);
   if t.cfg.self_heal then
@@ -1581,9 +1572,6 @@ let set_result_forwards t ~query dsts =
 let plan_cached t ~name =
   match Hashtbl.find_opt t.plans name with Some (_, Some _) -> true | _ -> false
 
-let installed t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.instances [] |> List.sort compare
-
 let has_query t name = Hashtbl.mem t.instances name
 
 let query_seqno t name =
@@ -1638,21 +1626,11 @@ let stats t =
     partners_swept = t.n_partners_swept;
   }
 
-let netdist t ~query =
-  Option.bind (Hashtbl.find_opt t.instances query) (fun inst -> Ewma.value inst.netdist)
-
-let ts_length t ~query =
-  Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.instances query)
-
 let ctl_in_flight t = Hashtbl.length t.ctl_pending
 
 let current_parents t ~query =
   Option.map
     (fun inst -> Array.copy inst.view.Query.parents)
     (Hashtbl.find_opt t.instances query)
-
-let orphaned_for t ~query =
-  Option.bind (Hashtbl.find_opt t.instances query) (fun inst ->
-      Option.map (fun since -> now_local t -. since) inst.orphaned_since)
 
 let partner_count t = Itbl.length t.partners

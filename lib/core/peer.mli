@@ -41,14 +41,10 @@ type runtime = {
 }
 
 type config = {
-  hb_period : float; (** Heartbeat period; 2 s in §7.2.2. *)
-  hb_timeout_factor : float; (** Neighbor dead after this many periods. *)
-  reconcile_every : int; (** Digest on every k-th heartbeat; 3 in §7.1. *)
-  min_timeout : float; (** Floor on TS eviction timeouts. *)
-  timeout_slack : float; (** Added to [netDist - age]. *)
-  install_chunks : int; (** Parallel install components; 16 in §7.1. *)
-  boundary_period : float; (** Stall detection period for tuple windows. *)
-  emitted_horizon : int; (** Evicted-slot memory, in slots. *)
+  hb_period : float;
+      (** Heartbeat period; 2 s in §7.2.2. A neighbor is presumed dead
+          after three silent periods, and every third beat carries the
+          reconciliation digest (§7.1). *)
   level_wait : float;
       (** Eviction-time budget per level of headroom: a node at level [l]
           of a height-[h] tree may hold a window for at most
@@ -63,17 +59,13 @@ type config = {
       (** Retransmit budget per reliable control message (Install, Remove,
           View_request, View_reply): up to [1 + ctl_retries]
           transmissions, then the peer gives up and relies on §6.1
-          reconciliation. The default is [0] — fire-and-forget, the
-          paper's behaviour, keeping the figure reproductions'
-          message pattern intact; set it positive to enable the reliable
-          control plane. *)
-  ctl_timeout : float;
-      (** Floor on the retransmission timeout; the effective base is
-          [max ctl_timeout (4 * latency_to dst)]. *)
-  ctl_backoff : float; (** RTO multiplier per attempt (exponential backoff). *)
-  ctl_jitter : float;
-      (** Uniform fraction added to each RTO so retry bursts
-          desynchronise across peers. *)
+          reconciliation. The retransmission timeout starts at
+          [max 0.5 s (4 * latency_to dst)], doubles per attempt and adds
+          up to 25% uniform jitter so retry bursts desynchronise across
+          peers. The default is [0] — fire-and-forget, the paper's
+          behaviour, keeping the figure reproductions' message pattern
+          intact; set it positive to enable the reliable control
+          plane. *)
   self_heal : bool;
       (** Enables the self-healing data plane (DESIGN.md "Self-healing &
           recovery"): installs ship repair metadata (grandparent + sibling
@@ -91,6 +83,9 @@ type config = {
 }
 
 val default_config : config
+
+val min_timeout : float
+(** Floor on TS-list eviction timeouts, seconds. *)
 
 type result = {
   query : string;
@@ -191,8 +186,6 @@ val replan_query : t -> name:string -> Mortar_overlay.Treeset.t -> unit
     sequence number, superseding the old plan everywhere; peers that miss
     the multicast converge through reconciliation. Injector only. *)
 
-val installed : t -> string list
-
 val has_query : t -> string -> bool
 
 val query_seqno : t -> string -> int option
@@ -208,25 +201,13 @@ val crash : t -> unit
 
 val stats : t -> stats
 
-val netdist : t -> query:string -> float option
-
-val ts_length : t -> query:string -> int option
-
 val ctl_in_flight : t -> int
 (** Reliable control messages currently awaiting an ack. *)
-
-val alive_neighbor : t -> int -> bool
-(** Liveness belief from heartbeats (true for unknown nodes). *)
 
 val current_parents : t -> query:string -> int option array option
 (** The instance's {e current} per-tree parents — the static plan's, as
     mutated by any repair adoptions. For the soak harness's ground-truth
     reachability check. *)
-
-val orphaned_for : t -> query:string -> float option
-(** How long (local seconds) the failure detector has considered this
-    query's instance blackholed — every union parent dead and no repaired
-    parent confirmed yet. [None] when not orphaned or not installed. *)
 
 val partner_count : t -> int
 (** Heartbeat-partner table size (sweep diagnostics). *)

@@ -47,8 +47,3 @@ let distance a b =
   let neg = Int64.neg d in
   if ucompare d neg <= 0 then d else neg
 
-let clockwise_between a b c =
-  let db = Int64.sub b a and dc = Int64.sub c a in
-  ucompare db dc < 0
-
-let pp ppf id = Format.fprintf ppf "%016Lx" id

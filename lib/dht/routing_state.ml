@@ -133,4 +133,3 @@ let next_hop t key =
     end
   end
 
-let is_root_of t key = next_hop t key = None

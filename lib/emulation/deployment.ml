@@ -390,8 +390,6 @@ let reconnect_all t =
 (* ------------------------------------------------------------------ *)
 (* Scripted fault scenarios. *)
 
-let faults t = t.faults
-
 let stub_hosts t stub =
   let rec loop i acc =
     if i < 0 then acc

@@ -65,13 +65,6 @@ val total_bytes : t -> float
 
 val total_bytes_of_kind : t -> kind:string -> float
 
-val kinds : t -> string list
-(** Sorted, duplicate-free union across shards. *)
-
-val bytes_series : t -> kind:string -> Mortar_sim.Series.t option
-(** A fresh merged series per call, in {!Mortar_net.Transport.bucket}-wide
-    buckets. *)
-
 val mbps : t -> ?kind:string -> float -> float -> float
 (** [mbps t lo hi]: mean network load in megabits per second across all
     links between two sim times — every traffic kind, or only [kind]. *)
@@ -114,9 +107,6 @@ val reconnect_all : t -> unit
     installs/heals the matching {!Mortar_net.Faults} conditions (or
     crashes peers) at the right virtual instants. All times are absolute
     virtual seconds; link conditions are active on [\[from, until)]. *)
-
-val faults : t -> Mortar_net.Faults.t
-(** The fault table the transport consults on every send. *)
 
 val stub_hosts : t -> int -> int list
 (** Hosts homed in one stub domain of the topology. *)

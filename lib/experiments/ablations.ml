@@ -49,7 +49,8 @@ let live_completeness ~quick ~style ~failure =
   (* End-to-end: the routing pockets that degenerate siblings create cost
      far more than the raw union bound suggests. *)
   let hosts = if quick then 340 else 680 in
-  let h = Harness.create ~seed:9 ~hosts ~style () in
+  let s = Scenario.peer_count ~seed:9 ~hosts in
+  let h = Harness.create (Scenario.map_tree_sets (fun ts -> { ts with shape = Planned style }) s) in
   Harness.run_until h 20.0;
   ignore (Harness.fail_fraction h failure);
   Harness.run_until h 90.0;
@@ -95,7 +96,9 @@ let completeness_with_config ~quick ~config =
   (* Deep trees (bf 4) make the timing ablations visible: with bf 16 the
      trees are two levels tall and almost any policy keeps up. *)
   let hosts = if quick then 180 else 400 in
-  let h = Harness.create ~seed:77 ~hosts ~bf:4 ~config () in
+  let s = Scenario.peer_count ~seed:77 ~hosts in
+  let s = Scenario.map_tree_sets (fun ts -> { ts with bf = 4 }) s in
+  let h = Harness.create { s with deployment = { s.deployment with config } } in
   Harness.run_until h 60.0;
   Harness.mean_completeness h 30.0 60.0 ~denominator:hosts
 

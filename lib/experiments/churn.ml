@@ -23,25 +23,28 @@
 
 module D = Mortar_emul.Deployment
 module Peer = Mortar_core.Peer
-module Query = Mortar_core.Query
-module Window = Mortar_core.Window
 
 let seeds = [ 73; 74; 75 ]
 
 let partition_run ~seed ~hosts =
-  let h = Harness.create ~seed ~hosts ~transits:4 ~stubs:8 ~bf:8 () in
-  let d = Harness.deployment h in
-  let topo = D.topology d
-  and root = 0 in
+  let s = Scenario.peer_count ~seed ~hosts in
+  let s = { s with topology = { s.topology with transits = 4; stubs = 8 } } in
+  let s = Scenario.map_tree_sets (fun ts -> { ts with bf = 8 }) s in
   (* Partition a stub that does not contain the root. *)
-  let cut_stub = (Mortar_net.Topology.stub_of topo root + 1) mod 8 in
-  let cut_size = List.length (D.stub_hosts d cut_stub) in
+  let cut_stub = (Mortar_net.Topology.stub_of (Scenario.topology s) 0 + 1) mod 8 in
   let crash_stub = (cut_stub + 1) mod 8 in
-  D.schedule_faults d
-    [
-      D.Partition_stub { stub = cut_stub; from = 25.0; until = 45.0 };
-      D.Correlated_crash { stub = crash_stub; fraction = 0.5; at = 60.0; recover_at = 70.0 };
-    ];
+  let h =
+    Harness.create
+      {
+        s with
+        faults =
+          [
+            D.Partition_stub { stub = cut_stub; from = 25.0; until = 45.0 };
+            D.Correlated_crash { stub = crash_stub; fraction = 0.5; at = 60.0; recover_at = 70.0 };
+          ];
+      }
+  in
+  let cut_size = List.length (D.stub_hosts (Harness.deployment h) cut_stub) in
   Harness.run_until h 95.0;
   let mean t0 t1 = Harness.mean_completeness h t0 t1 ~denominator:hosts in
   (mean, float_of_int (hosts - cut_size) /. float_of_int hosts)
@@ -78,18 +81,21 @@ let partition_phase ~quick =
    heartbeat period) so retries are the only repair mechanism. Also
    returns how many control messages ran out their retry budget. *)
 let install_completeness ~hosts ~loss ~retries =
-  let rng = Mortar_util.Rng.create 911 in
-  let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
-  let config = { Peer.default_config with Peer.hb_period = 1e6; ctl_retries = retries } in
-  let d = D.create_sharded ~seed:17 ~config ~loss topo in
-  D.converge_coordinates d ();
-  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
-  let treeset = D.plan d ~bf:8 ~d:4 ~root:0 ~nodes () in
-  let meta =
-    Query.make_meta ~name:"q" ~source:"s" ~op:Mortar_core.Op.Sum
-      ~window:(Window.tumbling 1.0) ~root:0 ~total_nodes:hosts ()
+  let s =
+    Scenario.peer_count ~seed:17 ~hosts
+    |> Scenario.map_tree_sets (fun ts -> { ts with bf = 8 })
+    |> Scenario.map_metas (fun m -> { m with name = "q"; source = "s" })
   in
-  D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
+  let config = { Peer.default_config with hb_period = 1e6; ctl_retries = retries } in
+  let { Scenario.d; _ } =
+    Scenario.build
+      {
+        s with
+        topology = { seed = 911; hosts; transits = 4; stubs = 8 };
+        deployment = { s.deployment with config; loss };
+        sensors = [];
+      }
+  in
   D.run_until d 40.0;
   let installed = ref 0
   and abandoned = ref 0 in

@@ -17,12 +17,12 @@ let header e =
   Printf.printf "\n=== %s: %s ===\n" e.id e.title;
   Printf.printf "paper: %s\n" e.paper_claim
 
-let run_all ~quick =
+let run_all ~quick experiments =
   List.iter
     (fun e ->
       header e;
       e.run ~quick)
-    (all ())
+    experiments
 
 let table ~columns rows_thunk =
   let rows = rows_thunk () in

@@ -22,12 +22,10 @@ val all : unit -> experiment list
 
 val find : string -> experiment option
 
-val run_all : quick:bool -> unit
+val run_all : quick:bool -> experiment list -> unit
+(** Print each experiment's banner, then run it, in list order. *)
 
 (** {1 Output helpers} *)
-
-val header : experiment -> unit
-(** Print the experiment banner. *)
 
 val table : columns:string list -> (unit -> string list list) -> unit
 (** Print an aligned table; the thunk supplies rows. *)

@@ -67,8 +67,14 @@ let mortar_point ~quick ~mode ~scale =
   let crng = Mortar_util.Rng.create (1009 + int_of_float (scale *. 10.0)) in
   let offsets = Clock.planetlab_offsets crng ~scale ~n:hosts in
   let skews = Clock.planetlab_skews crng ~n:hosts in
+  let s =
+    Scenario.peer_count ~seed:57 ~hosts
+    |> Scenario.map_metas (fun m ->
+           { m with window = Mortar_core.Window.tumbling window; mode; track_provenance = true })
+  in
   let h =
-    Harness.create ~seed:57 ~hosts ~window ~mode ~track_provenance:true ~offsets ~skews ()
+    Harness.create
+      { s with deployment = { s.deployment with offsets = Some offsets; skews = Some skews } }
   in
   Harness.run_until h horizon;
   let prov = Harness.provenance_results h in

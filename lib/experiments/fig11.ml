@@ -8,24 +8,18 @@
 
 module D = Mortar_emul.Deployment
 module Peer = Mortar_core.Peer
-module Query = Mortar_core.Query
 
 let failure_levels = [ 0.0; 0.1; 0.2; 0.3; 0.4 ]
 
 let one_run ~quick ~failure =
   let hosts = if quick then 240 else 680 in
-  let rng = Mortar_util.Rng.create 1213 in
-  let topo = Mortar_net.Topology.transit_stub rng ~transits:8 ~stubs:34 ~hosts () in
-  let d = D.create_sharded ~seed:121 topo in
-  D.converge_coordinates d ();
-  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
-  let treeset = D.plan d ~root:0 ~nodes () in
-  let meta =
-    Query.make_meta ~name:"install-test" ~source:"ones" ~op:Mortar_core.Op.Sum
-      ~window:(Mortar_core.Window.tumbling 1.0) ~root:0 ~total_nodes:hosts ()
+  (* The peer-count deployment without sensors: only the install runs. *)
+  let s = Scenario.peer_count ~seed:121 ~hosts in
+  let s = Scenario.map_metas (fun m -> { m with name = "install-test" }) s in
+  let { Scenario.d; _ } =
+    Scenario.build { s with topology = { s.topology with seed = 1213 }; sensors = [] }
   in
   D.at d 0.5 (fun () -> ignore (D.fail_random d ~fraction:failure ~protect:[ 0 ] ()));
-  D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.at d 30.0 (fun () -> D.reconnect_all d);
   (* Sample installed coverage every second. *)
   let samples = Hashtbl.create 64 in

@@ -13,7 +13,11 @@ let failures_quick = [ 0.0; 0.2; 0.4 ]
 
 let one_run ~quick ~degree ~failure =
   let hosts = if quick then 240 else 680 in
-  let h = Harness.create ~seed:(31 + degree) ~hosts ~degree () in
+  let h =
+    Scenario.peer_count ~seed:(31 + degree) ~hosts
+    |> Scenario.map_tree_sets (fun ts -> { ts with degree })
+    |> Harness.create
+  in
   Harness.run_until h 20.0;
   ignore (Harness.fail_fraction h failure);
   Harness.run_until h 80.0;

@@ -15,7 +15,7 @@ let phases = [ { start = 60.0; fraction = 0.1 }; { start = 180.0; fraction = 0.2
 let run ~quick =
   let hosts = if quick then 240 else 680 in
   let down_time = 60.0 in
-  let h = Harness.create ~seed:17 ~hosts () in
+  let h = Harness.create (Scenario.peer_count ~seed:17 ~hosts) in
   let d = Harness.deployment h in
   let mbps h = Mortar_emul.Deployment.mbps (Harness.deployment h) in
   List.iter
@@ -98,7 +98,11 @@ let run ~quick =
     (effect_at -. last.start) (find_recovery effect_at);
   (* The no-aggregation comparison: same workload, relays forward without
      merging. *)
-  let h2 = Harness.create ~seed:17 ~hosts ~aggregate:false () in
+  let h2 =
+    Scenario.peer_count ~seed:17 ~hosts
+    |> Scenario.map_metas (fun m -> { m with aggregate = false })
+    |> Harness.create
+  in
   Harness.run_until h2 60.0;
   let no_agg = mbps h2 30.0 60.0 in
   Printf.printf "no-aggregation load: %.2f Mbps (%.1fx the aggregated load)\n" no_agg

@@ -8,7 +8,7 @@ module D = Mortar_emul.Deployment
 
 let run ~quick =
   let hosts = if quick then 240 else 680 in
-  let h = Harness.create ~seed:23 ~hosts () in
+  let h = Harness.create (Scenario.peer_count ~seed:23 ~hosts) in
   let d = Harness.deployment h in
   let down = ref [] in
   let rng = Mortar_util.Rng.create 4242 in

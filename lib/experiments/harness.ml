@@ -2,7 +2,6 @@ module D = Mortar_emul.Deployment
 module Peer = Mortar_core.Peer
 module Query = Mortar_core.Query
 module Value = Mortar_core.Value
-module Window = Mortar_core.Window
 
 type recorded = {
   sim_time : float;
@@ -21,36 +20,19 @@ type t = {
   track_provenance : bool;
 }
 
-let query_name = "peer-count"
+let query_name = Scenario.peer_count_query
 
-let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) ?(degree = 4)
-    ?style ?(window = 1.0) ?(mode = Query.Syncless) ?(aggregate = true)
-    ?(track_provenance = false) ?offsets ?skews ?config ?(install_at = 1.0) () =
-  let rng = Mortar_util.Rng.create (seed * 7919) in
-  let topo = Mortar_net.Topology.transit_stub rng ~transits ~stubs ~hosts () in
-  let d = D.create_sharded ~seed ?config ?offsets ?skews topo in
-  D.converge_coordinates d ();
-  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
-  let treeset = D.plan d ?style ~bf ~d:degree ~root:0 ~nodes () in
-  let meta =
-    Query.make_meta ~name:query_name ~source:"ones" ~op:Mortar_core.Op.Sum
-      ~window:(Window.tumbling window) ~mode ~root:0 ~degree ~total_nodes:hosts ~aggregate
-      ~track_provenance ()
+let create (s : Scenario.t) =
+  let { Scenario.d; tree_sets; _ } = Scenario.build s in
+  let track_provenance =
+    List.exists (fun (q : Scenario.install) -> q.meta.Query.track_provenance) s.queries
   in
-  let t = { d; treeset; ledger = Ledger.create [ query_name ]; track_provenance } in
-  for i = 0 to hosts - 1 do
-    D.sensor d ~node:i ~stream:"ones" ~period:1.0
-      ?truth_slide:(if track_provenance then Some window else None)
-      (fun _ -> Value.Int 1)
-  done;
+  let t = { d; treeset = tree_sets.(0); ledger = Ledger.create [ query_name ]; track_provenance } in
   Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
       Ledger.record t.ledger ~query:query_name ~bucket:r.slot ~count:r.count ~at:(D.now d) r);
-  D.at d install_at (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   t
 
 let deployment t = t.d
-
-let treeset t = t.treeset
 
 let run_until t time = D.run_until t.d time
 

@@ -5,12 +5,13 @@
     a time window with range and slide equal to one second. A sensor at
     each system node produces the integer value 1 every second."
 
-    This module builds that deployment — transit-stub topology, Vivaldi,
-    network-aware plan, query install, sensors — and records every root
-    result in a {!Ledger} (keyed by the root's slot) against true
-    simulation time; bandwidth is {!Mortar_emul.Deployment.mbps} of
-    {!deployment}. The [mean_*] figures score the best emission of each window
-    delivered in the interval, by the ledger's policy. *)
+    {!Scenario.peer_count} describes that deployment — transit-stub
+    topology, Vivaldi, network-aware plan, sensors, query install. This
+    module builds it and records every root result in a {!Ledger} (keyed
+    by the root's slot) against true simulation time; bandwidth is
+    {!Mortar_emul.Deployment.mbps} of {!deployment}. The [mean_*] figures
+    score the best emission of each window delivered in the interval, by
+    the ledger's policy. *)
 
 type recorded = {
   sim_time : float;
@@ -24,31 +25,14 @@ type recorded = {
 
 type t
 
-val create :
-  ?seed:int ->
-  ?hosts:int ->
-  ?transits:int ->
-  ?stubs:int ->
-  ?bf:int ->
-  ?degree:int ->
-  ?style:[ `Rotation | `Cluster_shuffle ] ->
-  ?window:float ->
-  ?mode:Mortar_core.Query.mode ->
-  ?aggregate:bool ->
-  ?track_provenance:bool ->
-  ?offsets:float array ->
-  ?skews:float array ->
-  ?config:Mortar_core.Peer.config ->
-  ?install_at:float ->
-  unit ->
-  t
-(** Defaults follow §7: 680 hosts over 34 stubs / 8 transits, bf 16, four
-    trees, 1 s tumbling window, syncless, install at t = 1 s. Sensors and
-    the query are wired immediately; call {!run_until} to advance. *)
+val create : Scenario.t -> t
+(** Build the scenario ({!Scenario.build}) and record every result host 0
+    delivers. The scenario is normally
+    {!Scenario.peer_count} with fields overridden: {!union_bound} reads
+    its first tree set, and its query is named {!query_name}. Call
+    {!run_until} to advance. *)
 
 val deployment : t -> Mortar_emul.Deployment.t
-
-val treeset : t -> Mortar_overlay.Treeset.t
 
 val query_name : string
 

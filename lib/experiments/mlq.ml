@@ -30,17 +30,11 @@
 module D = Mortar_emul.Deployment
 module Peer = Mortar_core.Peer
 module Query = Mortar_core.Query
-module Value = Mortar_core.Value
 module Window = Mortar_core.Window
 module Topology = Mortar_net.Topology
 module Spec = Mortar_plan.Spec
-module Place = Mortar_plan.Place
 module Registry = Mortar_plan.Registry
 module Rng = Mortar_util.Rng
-
-(* CLI overrides (bin/mortar_cli: --planner, --queries). *)
-let planner_override : [ `Naive | `Shared ] option ref = ref None
-let queries_override : int option ref = ref None
 
 type params = {
   hosts : int;
@@ -166,16 +160,21 @@ let gen_specs p topo q =
         ~name:(Printf.sprintf "q%03d" i)
         ~source:stream ~op:Mortar_core.Op.Sum ~window:1.0 ~publishers ~subscriber)
 
-let attach_sensors d specs =
-  let seen = Hashtbl.create 4096 in
-  List.iter
-    (fun (s : Spec.t) ->
-      Array.iter (fun h -> Hashtbl.replace seen (s.Spec.source, h) ()) s.Spec.publishers)
-    specs;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
-  |> List.sort compare
-  |> List.iter (fun (stream, node) ->
-         D.sensor d ~node ~stream ~period:1.0 (fun _ -> Value.Int 1))
+(* One 1 Hz [Ones] sensor group per stream, over the hosts that publish
+   it, streams and hosts in ascending order. *)
+let sensors_of specs =
+  List.sort_uniq compare (List.map (fun (s : Spec.t) -> s.Spec.source) specs)
+  |> List.map (fun stream ->
+         let hosts =
+           List.concat_map
+             (fun (s : Spec.t) ->
+               if s.Spec.source = stream then Array.to_list s.Spec.publishers else [])
+             specs
+           |> List.sort_uniq compare
+         in
+         { Scenario.stream; period = 1.0; hosts = Only hosts; value = Ones })
+
+let attach_sensors d specs = Scenario.attach_sensors d ~queries:[] (sensors_of specs)
 
 (* ------------------------------------------------------------------ *)
 (* Delivered results go to a {!Ledger}, one table per logical query at
@@ -236,85 +235,67 @@ let apply_install st at_time a = D.at st.d at_time (fun () -> apply_now st a)
 
 let setup ~mode ~q p =
   let seed = 4242 + q in
-  let rng = Rng.create (seed * 7919) in
-  let topo = Topology.transit_stub rng ~transits:p.transits ~stubs:p.stubs ~hosts:p.hosts () in
-  let d = D.create_sharded ~seed topo in
-  D.converge_coordinates d ();
-  let specs = gen_specs p topo q in
-  attach_sensors d specs;
+  (* The peer-count platform, carrying the workload's own sensors and
+     trees. *)
+  let s = Scenario.peer_count ~seed ~hosts:p.hosts in
+  let s = { s with topology = { s.topology with transits = p.transits; stubs = p.stubs } } in
+  let specs = gen_specs p (Scenario.topology s) q in
   let sink = sink_for specs in
+  let s = { s with tree_sets = []; sensors = sensors_of specs; queries = [] } in
   let install_at i n =
     p.install_from +. (p.install_span *. float_of_int i /. float_of_int (max 1 n))
   in
   match mode with
   | `Naive ->
-    List.iteri
-      (fun i (s : Spec.t) ->
-        let root = s.Spec.subscriber in
-        let nodes =
-          Array.to_list s.Spec.publishers |> List.filter (fun h -> h <> root) |> Array.of_list
-        in
-        let treeset = D.plan d ~bf:p.bf ~d:p.degree ~root ~nodes () in
-        let meta =
-          Query.make_meta ~name:s.Spec.name ~source:s.Spec.source ~op:s.Spec.op
-            ~window:(Window.tumbling s.Spec.window) ~root ~degree:p.degree
-            ~total_nodes:(Array.length s.Spec.publishers) ()
-        in
-        Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
-            if r.query = s.Spec.name then
-              deliver d sink s.Spec.name ~age:r.age ~count:r.count);
-        D.at d (install_at i (List.length specs)) (fun () ->
-            Peer.install_query (D.peer d root) meta treeset))
+    (* One private network-aware tree set per query, rooted at its
+       subscriber, installed on the staggered schedule. *)
+    let tree_set (sp : Spec.t) =
+      { Scenario.root = sp.subscriber; members = Only (Array.to_list sp.publishers); bf = p.bf;
+        degree = p.degree; shape = Planned `Cluster_shuffle }
+    in
+    let install i (sp : Spec.t) =
+      let meta =
+        Query.make_meta ~name:sp.name ~source:sp.source ~op:sp.op
+          ~window:(Window.tumbling sp.window) ~root:sp.subscriber
+          ~total_nodes:(Array.length sp.publishers) ()
+      in
+      { Scenario.meta; tree_set = i; at = install_at i (List.length specs) }
+    in
+    let { Scenario.d; _ } =
+      Scenario.build
+        { s with tree_sets = List.map tree_set specs; queries = List.mapi install specs }
+    in
+    List.iter
+      (fun (sp : Spec.t) ->
+        Peer.on_result (D.peer d sp.subscriber) (fun (r : Peer.result) ->
+            if r.query = sp.name then deliver d sink sp.name ~age:r.age ~count:r.count))
       specs;
     { d; specs; sink; reg = None }
   | `Shared ->
-    let ctx =
-      Place.ctx ~topo ~coords:(D.coordinates d) ~bf:p.bf ~degree:p.degree ~candidates:3
-        ~seed ()
+    (* The planner places shared tree sets; its actions install them. *)
+    let { Scenario.d; registry; _ } =
+      Scenario.build { s with planner = Some { bf = p.bf; degree = p.degree; seed } }
     in
-    let reg = Registry.create ~ctx () in
+    let reg = Option.get registry in
     let actions = Registry.add_batch reg specs in
     let st = { d; specs; sink; reg = Some reg } in
     let n = List.length actions in
     List.iteri (fun i a -> apply_install st (install_at i n) a) actions;
-    (* Wire delivery sinks: the physical root records for co-located
-       subscribers via on_result; every other subscriber via the
+    (* Wire delivery sinks: the physical root records for a co-located
+       subscriber via on_result, any other subscriber records through the
        Result_fwd remote handler. *)
-    let phys_of = Hashtbl.create 64 and root_of = Hashtbl.create 64 in
+    let subscriber = Hashtbl.create 64 in
+    List.iter (fun (sp : Spec.t) -> Hashtbl.replace subscriber sp.name sp.subscriber) specs;
     List.iter
       (fun (name, phys, root) ->
-        Hashtbl.replace phys_of name phys;
-        Hashtbl.replace root_of phys root)
+        let h = Hashtbl.find subscriber name in
+        if h = root then
+          Peer.on_result (D.peer d h) (fun (r : Peer.result) ->
+              if r.query = phys then deliver d sink name ~age:r.age ~count:r.count)
+        else
+          Peer.on_remote_result (D.peer d h) (fun (rr : Peer.remote_result) ->
+              if rr.r_query = phys then deliver d sink name ~age:rr.r_age ~count:rr.r_count))
       (Registry.mapping reg);
-    let at_root = Hashtbl.create 64 and remote = Hashtbl.create 64 in
-    let push tbl h v =
-      Hashtbl.replace tbl h (v :: Option.value (Hashtbl.find_opt tbl h) ~default:[])
-    in
-    List.iter
-      (fun (s : Spec.t) ->
-        let phys = Hashtbl.find phys_of s.Spec.name in
-        let root = Hashtbl.find root_of phys in
-        if s.Spec.subscriber = root then push at_root root (phys, s.Spec.name)
-        else push remote s.Spec.subscriber (phys, s.Spec.name))
-      specs;
-    let sorted tbl = Hashtbl.fold (fun h v acc -> (h, v) :: acc) tbl [] |> List.sort compare in
-    List.iter
-      (fun (h, pairs) ->
-        Peer.on_result (D.peer d h) (fun (r : Peer.result) ->
-            List.iter
-              (fun (phys, name) ->
-                if r.query = phys then deliver d sink name ~age:r.age ~count:r.count)
-              pairs))
-      (sorted at_root);
-    List.iter
-      (fun (h, pairs) ->
-        Peer.on_remote_result (D.peer d h) (fun (rr : Peer.remote_result) ->
-            List.iter
-              (fun (phys, name) ->
-                if rr.Peer.r_query = phys then
-                  deliver d sink name ~age:rr.Peer.r_age ~count:rr.Peer.r_count)
-              pairs))
-      (sorted remote);
     st
 
 (* ------------------------------------------------------------------ *)
@@ -409,26 +390,21 @@ let run_churn ~replan ~q p =
 
 (* ------------------------------------------------------------------ *)
 
-let run ~quick =
+(* The figure rows: per query count, the naive and shared points of the
+   modes [planner] selects (both by default). [queries] replaces the
+   ladder with one count. *)
+let rows ?planner ?queries p =
+  let ladder = match queries with Some q -> [ q ] | None -> p.ladder in
+  let runs mode = match planner with None -> true | Some m -> m = mode in
+  List.map
+    (fun q ->
+      let get mode = if runs mode then Some (run_point ~mode ~q p) else None in
+      (q, get `Naive, get `Shared))
+    ladder
+
+let run ?planner ?queries ~quick () =
   let p = params ~quick in
-  let ladder =
-    match !queries_override with Some q -> [ q ] | None -> p.ladder
-  in
-  let modes =
-    match !planner_override with
-    | Some `Naive -> [ `Naive ]
-    | Some `Shared -> [ `Shared ]
-    | None -> [ `Naive; `Shared ]
-  in
-  let rows =
-    List.map
-      (fun q ->
-        let get mode =
-          if List.mem mode modes then Some (run_point ~mode ~q p) else None
-        in
-        (q, get `Naive, get `Shared))
-      ladder
-  in
+  let rows = rows ?planner ?queries p in
   Common.table
     ~columns:
       [ "queries"; "physical"; "naive Mb/s"; "planned Mb/s"; "saving"; "naive compl";
@@ -453,8 +429,8 @@ let run ~quick =
           ])
         rows);
   (* Churn phase: incremental re-plan vs no-replan control. *)
-  if List.mem `Shared modes then begin
-    let q = match !queries_override with Some q -> q | None -> p.churn_q in
+  if planner <> Some `Naive then begin
+    let q = Option.value queries ~default:p.churn_q in
     let on = run_churn ~replan:true ~q p in
     let off = run_churn ~replan:false ~q p in
     Printf.printf "\nchurn phase (stub kill at %gs, %d queries, completeness vs survivors):\n"
@@ -490,7 +466,7 @@ let experiment =
        in-network bandwidth versus naive per-query trees (increasingly with query count) \
        at no delivered-completeness cost, and churn-driven incremental re-planning \
        restores completeness over survivors after a stub loss";
-    run;
+    run = (fun ~quick -> run ~quick ());
   }
 
 let register () = Common.register experiment

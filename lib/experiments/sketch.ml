@@ -33,8 +33,6 @@ module Value = Mortar_core.Value
 module Window = Mortar_core.Window
 module Expr = Mortar_core.Expr
 module Op = Mortar_core.Op
-module Topology = Mortar_net.Topology
-module Rng = Mortar_util.Rng
 module Cm = Mortar_sketch.Count_min
 
 type params = {
@@ -120,29 +118,13 @@ let params ~quick =
 (* ------------------------------------------------------------------ *)
 (* Workload: host h's k-th tuple carries a globally unique id and a
    value drawn Zipf(1)-skewed from [0, domain) by seeded hashing — a
-   pure function of (host, k), identical in both deployments. *)
+   pure function of (host, k), identical in both deployments
+   ({!Scenario.Zipf_record}). Kept under these names because
+   perfbench/workloads.ml calls them. *)
 
-let zipf_cdf domain =
-  let w = Array.init domain (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  let cdf = Array.make domain 0.0 in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      acc := !acc +. (x /. total);
-      cdf.(i) <- !acc)
-    w;
-  cdf
+let zipf_cdf = Scenario.zipf_cdf
 
-let draw_value cdf ~host ~k =
-  let h = Mortar_sketch.Hash.hash_int ~seed:(host + 1) k in
-  let u = float_of_int h /. (float_of_int max_int +. 1.0) in
-  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cdf.(mid) < u then lo := mid + 1 else hi := mid
-  done;
-  !lo
+let draw_value = Scenario.draw_value
 
 (* ------------------------------------------------------------------ *)
 (* Delivered answers go to a {!Ledger} keyed by the root's slot. Each
@@ -166,41 +148,53 @@ type side = { d : D.t; ledger : answer Ledger.t; hold : float }
 let project field = [ Expr.Map [ ("k", Expr.Field field) ] ]
 
 let setup ~mode p =
-  let seed = 9090 in
-  let topo_rng = Rng.create (seed * 7919) in
-  let topo =
-    Topology.transit_stub topo_rng ~transits:p.transits ~stubs:p.stubs ~hosts:p.hosts ()
-  in
-  let d = D.create_sharded ~seed topo in
-  D.converge_coordinates d ();
-  let cdf = zipf_cdf p.domain in
-  for h = 0 to p.hosts - 1 do
-    D.sensor d ~node:h ~stream:"metric" ~period:p.period (fun k ->
-        Value.Record
-          [
-            ("id", Value.Int ((h * 1_000_000) + k));
-            ("v", Value.Int (draw_value cdf ~host:h ~k));
-          ])
-  done;
   let root = 0 in
-  let nodes = Array.init (p.hosts - 1) (fun i -> i + 1) in
-  let treeset = D.plan d ~bf:p.bf ~d:p.degree ~root ~nodes () in
-  let install name ~pre ~op =
-    let meta =
-      Query.make_meta ~name ~source:"metric" ~pre ~op ~window:(Window.tumbling p.window)
-        ~root ~degree:p.degree ~total_nodes:p.hosts ()
-    in
-    D.at d p.install_at (fun () -> Peer.install_query (D.peer d root) meta treeset)
+  let install name op =
+    {
+      Scenario.meta =
+        Query.make_meta ~name ~source:"metric" ~pre:(project "v") ~op
+          ~window:(Window.tumbling p.window) ~root ~total_nodes:p.hosts ();
+      tree_set = 0;
+      at = p.install_at;
+    }
+  in
+  let s =
+    Scenario.map_tree_sets
+      (fun ts -> { ts with bf = p.bf; degree = p.degree })
+      (Scenario.peer_count ~seed:9090 ~hosts:p.hosts)
+  in
+  (* Identical composed churn in both deployments: the schedule is a
+     pure function of (topology, churn seed). *)
+  let { Scenario.d; tree_sets; _ } =
+    Scenario.build
+      {
+        s with
+        topology = { s.topology with transits = p.transits; stubs = p.stubs };
+        sensors =
+          [
+            { stream = "metric"; period = p.period; hosts = All;
+              value = Zipf_record { domain = p.domain } };
+          ];
+        queries =
+          (match mode with
+          | `Exact -> [ install "xunion" (Op.Union { cap = 0 }) ]
+          | `Sketch ->
+            [
+              install "scm"
+                (Op.Sketch_count_min { depth = p.cm_depth; width = p.cm_width; seed = p.sk_seed });
+              install "shll" (Op.Sketch_hll { b = p.hll_b; seed = p.sk_seed });
+              install "sagms"
+                (Op.Sketch_agms { rows = p.agms_rows; cols = p.agms_cols; seed = p.sk_seed });
+            ]);
+        churn =
+          Some
+            { seed = 31337; from = p.churn_from; until = p.churn_until; protect = [ root ];
+              churn_period = 3.0; churn_kills = 2; down_min = 2.0; down_max = 5.0;
+              burst_period = 5.0; burst_len = 2.5;
+              kill_period = 8.0; kill_fraction = 0.25; kill_len = 3.0 };
+      }
   in
   let ledger = Ledger.create [ "xunion"; "scm"; "shll"; "sagms" ] in
-  (match mode with
-  | `Exact -> install "xunion" ~pre:(project "v") ~op:(Op.Union { cap = 0 })
-  | `Sketch ->
-    install "scm" ~pre:(project "v")
-      ~op:(Op.Sketch_count_min { depth = p.cm_depth; width = p.cm_width; seed = p.sk_seed });
-    install "shll" ~pre:(project "v") ~op:(Op.Sketch_hll { b = p.hll_b; seed = p.sk_seed });
-    install "sagms" ~pre:(project "v")
-      ~op:(Op.Sketch_agms { rows = p.agms_rows; cols = p.agms_cols; seed = p.sk_seed }));
   Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
       let answer =
         match (r.Peer.query, r.Peer.value) with
@@ -235,22 +229,12 @@ let setup ~mode p =
         (Ledger.record ledger ~query:r.Peer.query ~bucket:r.Peer.slot ~count:r.Peer.count
            ~at:(D.now d))
         answer);
-  (* Identical composed churn in both deployments: the schedule is a
-     pure function of (topology, rng) and this rng is dedicated. *)
-  let churn_rng = Rng.create 31337 in
-  let faults =
-    D.composed_churn d ~rng:churn_rng ~from:p.churn_from ~until:p.churn_until ~protect:[ root ]
-      ~churn_period:3.0 ~churn_kills:2 ~down_min:2.0 ~down_max:5.0 ~burst_period:5.0
-      ~burst_len:2.5 ~kill_period:8.0 ~kill_fraction:0.25 ~kill_len:3.0 ()
-  in
-  D.schedule_faults d faults;
   let height =
     Array.fold_left
       (fun h tr -> max h (Mortar_overlay.Tree.height tr))
-      0 (Mortar_overlay.Treeset.trees treeset)
+      0 (Mortar_overlay.Treeset.trees tree_sets.(0))
   in
-  let cfg = Peer.default_config in
-  { d; ledger; hold = cfg.Peer.min_timeout +. (float_of_int height *. cfg.Peer.level_wait) }
+  { d; ledger; hold = Peer.min_timeout +. (float_of_int height *. Peer.default_config.level_wait) }
 
 (* ------------------------------------------------------------------ *)
 

@@ -102,19 +102,26 @@ let soak_row ~quick ~self_heal =
       { Peer.default_config with Peer.self_heal = true; warmup_buffer = 32; ctl_retries = 2 }
     else Peer.default_config
   in
+  let s =
+    Scenario.peer_count ~seed:101 ~hosts
+    |> Scenario.map_tree_sets (fun ts -> { ts with bf = 8; degree = 2 })
+    |> Scenario.map_metas (fun m -> { m with track_provenance = true })
+  in
   let h =
-    Harness.create ~seed:101 ~hosts ~transits:4 ~stubs:8 ~bf:8 ~degree:2
-      ~track_provenance:true ~config ()
+    Harness.create
+      {
+        s with
+        topology = { s.topology with transits = 4; stubs = 8 };
+        deployment = { s.deployment with config };
+        churn =
+          Some
+            { seed = 404; from = chaos_from; until = chaos_until; protect = [ 0 ];
+              churn_period = 12.0; churn_kills = 2; down_min = 8.0; down_max = 20.0;
+              burst_period = 45.0; burst_len = 12.0;
+              kill_period = 30.0; kill_fraction = 0.8; kill_len = 25.0 };
+      }
   in
   let d = Harness.deployment h in
-  let schedule =
-    D.composed_churn d
-      ~rng:(Mortar_util.Rng.create 404)
-      ~from:chaos_from ~until:chaos_until ~protect:[ 0 ] ~churn_period:12.0 ~churn_kills:2
-      ~down_min:8.0 ~down_max:20.0 ~burst_period:45.0 ~burst_len:12.0 ~kill_period:30.0
-      ~kill_fraction:0.8 ~kill_len:25.0 ()
-  in
-  D.schedule_faults d schedule;
   let blackhole = ref 0
   and rejoin = ref 0
   and monotone_viol = ref 0 in

@@ -59,8 +59,6 @@ let shard_view t ~rng =
     delayed = 0;
   }
 
-let hosts t = t.hosts
-
 let set_of t members =
   let s = Array.make t.hosts false in
   List.iter
@@ -160,7 +158,5 @@ let decide t ~src ~dst =
       conditions
 
 let cut_drops t = t.cut_drops
-
-let loss_drops t = t.loss_drops
 
 let delayed t = t.delayed

@@ -50,8 +50,6 @@ val shard_view : t -> rng:Mortar_util.Rng.t -> t
     (src, dst) pair is always decided by src's shard, per-pair chain
     semantics are preserved. *)
 
-val hosts : t -> int
-
 (** {1 Installing conditions}
 
     Host-set arguments are lists of host indices. [sym] (default [false])
@@ -116,9 +114,6 @@ val decide : t -> src:int -> dst:int -> decision
 
 val cut_drops : t -> int
 (** Messages dropped by cuts/partitions since creation. *)
-
-val loss_drops : t -> int
-(** Messages dropped by i.i.d. or bursty loss since creation. *)
 
 val delayed : t -> int
 (** Messages given extra delay since creation. *)

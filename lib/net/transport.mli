@@ -92,8 +92,6 @@ val on_deliver :
 val set_faults : _ t -> Faults.t -> unit
 (** Attach (or replace) the fault table. *)
 
-val faults : _ t -> Faults.t option
-
 val send :
   'a t ->
   src:Topology.host ->

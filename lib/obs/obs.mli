@@ -100,9 +100,6 @@ type hist = {
   h_count : int;
 }
 
-val default_buckets : float array
-(** Decades from 1e-3 to 1e3. *)
-
 module Reg : sig
   type t
 
@@ -204,5 +201,3 @@ val json_float : float -> string
 (** Shortest-round-trip float rendering; non-finite values become
     [null]. Fixed across runs, so dumps diff byte-for-byte. *)
 
-val json_string : string -> string
-(** Quoted and escaped. *)

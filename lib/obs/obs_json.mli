@@ -13,12 +13,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val parse : string -> (t, string) result
-(** Parse one complete JSON value (one dump line). *)
-
-val member : string -> t -> t option
-(** Field lookup on an [Obj]. *)
-
 (** A parsed metric line. Numeric fields are floats because JSON has no
     integers; [counts] keeps bucket counts in bucket order. *)
 type metric =

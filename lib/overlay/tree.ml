@@ -123,13 +123,3 @@ let swap_labels t a b =
     map_nodes t f
   end
 
-let pp ppf t =
-  let rec go ppf n =
-    match children t n with
-    | [] -> Format.fprintf ppf "%d" n
-    | cs ->
-      Format.fprintf ppf "%d(%a)" n
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") go)
-        cs
-  in
-  go ppf t.root

@@ -57,4 +57,3 @@ val swap_labels : t -> node -> node -> t
 val map_nodes : t -> (node -> node) -> t
 (** Relabel every node through a bijection. *)
 
-val pp : Format.formatter -> t -> unit

@@ -71,9 +71,6 @@ val logical_count : t -> int
 
 val physical_count : t -> int
 
-val sharing_factor : t -> float
-(** [logical / physical]; [nan] when empty. *)
-
 val replans : t -> int
 (** Physical re-installs issued by {!handle_loss} so far. *)
 
@@ -81,5 +78,3 @@ val mapping : t -> (string * string * int) list
 (** [(logical name, physical name, root)] for every live logical query,
     name-sorted. *)
 
-val placements : t -> Place.placement list
-(** Live placements, key-sorted. *)

@@ -35,8 +35,6 @@ type msg =
   | Leafset_request
   | Leafset_reply of { members : int list } (** Host indices. *)
 
-val msg_size : msg -> int
-
 type timer = { cancel : unit -> unit }
 
 type runtime = {
@@ -55,8 +53,6 @@ type config = {
   route_maintenance : float;
   ping_timeout : float;
 }
-
-val default_config : config
 
 type t
 

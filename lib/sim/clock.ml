@@ -6,8 +6,6 @@ let create ?(offset = 0.0) ?(skew = 0.0) ?(epoch = 0.0) () = { offset; skew; epo
 
 let local_time t ~now = ((now -. t.epoch) *. (1.0 +. t.skew)) +. t.epoch +. t.offset
 
-let offset t = t.offset
-
 let skew t = t.skew
 
 (* Mixture calibrated to the PlanetLab observations cited in §5: most nodes

@@ -27,8 +27,6 @@ val create : ?offset:float -> ?skew:float -> ?epoch:float -> unit -> t
 val local_time : t -> now:float -> float
 (** Local reading at true time [now]. *)
 
-val offset : t -> float
-
 val skew : t -> float
 
 val planetlab_offsets : Mortar_util.Rng.t -> scale:float -> n:int -> float array

@@ -39,9 +39,6 @@ val every : t -> ?phase:float -> period:float -> (unit -> unit) -> handle
     [period] seconds. Cancelling the returned handle stops the recurrence.
     [phase] defaults to [period]. *)
 
-val step : t -> bool
-(** Fire the next event; [false] when the queue is empty. *)
-
 val run : ?until:float -> t -> unit
 (** Drain the event queue, or stop once virtual time would exceed [until].
     When stopped by [until], [now t] is set to [until] and remaining events

@@ -43,13 +43,9 @@ let second_moment t =
 let compatible a b =
   Int.equal a.rows b.rows && Int.equal a.cols b.cols && Int.equal a.seed b.seed
 
-let zip f a b =
+let merge a b =
   if not (compatible a b) then Codec.fail "agms merge across mismatched parameters";
-  { a with cells = Array.mapi (fun i x -> f x b.cells.(i)) a.cells }
-
-let merge a b = zip ( + ) a b
-
-let sub a b = zip ( - ) a b
+  { a with cells = Array.mapi (fun i x -> x + b.cells.(i)) a.cells }
 
 (* Same wire discipline as {!Count_min}: 'A' rows:u8 cols:u16 seed:i64,
    then the cells in {!Codec.put_cells}'s canonical form. *)

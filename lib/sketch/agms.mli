@@ -6,7 +6,7 @@
     Each insert adds [±w] to one counter per row; a row's estimate is
     the sum of its squared counters (variance ~ 2·F2²/cols) and the
     sketch answers with the median across rows. Linear like Count-Min:
-    [merge] adds, [sub] retracts, both exact on the counters. *)
+    [merge] adds the counters exactly. *)
 
 type t
 
@@ -26,8 +26,6 @@ val second_moment : t -> float
 
 val merge : t -> t -> t
 (** Raises [Failure] on mismatched parameters. *)
-
-val sub : t -> t -> t
 
 val to_string : t -> string
 

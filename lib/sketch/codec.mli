@@ -18,9 +18,6 @@ val u8 : reader -> int
 
 val u16 : reader -> int
 
-val i32 : reader -> int
-(** Signed 32-bit cell value. *)
-
 val i64 : reader -> int
 (** Seeds travel as 64 bits; the top bit must be clear (seeds are
     non-negative native ints). *)
@@ -32,10 +29,6 @@ val expect_end : reader -> unit
 val put_u8 : Buffer.t -> int -> unit
 
 val put_u16 : Buffer.t -> int -> unit
-
-val put_i32 : Buffer.t -> int -> unit
-(** Raises [Failure] when the cell value does not fit in 32 bits signed
-    (a window would need >2G increments to get there). *)
 
 val put_i64 : Buffer.t -> int -> unit
 

@@ -42,13 +42,9 @@ let total t =
 let compatible a b =
   Int.equal a.depth b.depth && Int.equal a.width b.width && Int.equal a.seed b.seed
 
-let zip f a b =
+let merge a b =
   if not (compatible a b) then Codec.fail "count-min merge across mismatched parameters";
-  { a with cells = Array.mapi (fun i x -> f x b.cells.(i)) a.cells }
-
-let merge a b = zip ( + ) a b
-
-let sub a b = zip ( - ) a b
+  { a with cells = Array.mapi (fun i x -> x + b.cells.(i)) a.cells }
 
 (* Wire layout: 'C' depth:u8 width:u16 seed:i64, then the row-major
    cell grid in {!Codec.put_cells}'s dense-or-sparse form. The form is a

@@ -1,8 +1,7 @@
 (** Count-Min sketch (Cormode & Muthukrishnan): a [depth] × [width] grid
     of counters answering point frequency queries with one-sided error.
 
-    The partial is {e linear}: [merge] adds grids cell-wise and [sub]
-    retracts, so it composes with sliding-window eviction exactly like
+    The partial is {e linear}: [merge] adds grids cell-wise, exactly like
     Sum does. [query] overestimates by at most [e/width · N] with
     probability [1 - e^-depth] ([N] = total weight); [total] (the sum of
     one row) is the exact inserted weight, so one Count-Min partial
@@ -35,9 +34,6 @@ val total : t -> int
 val merge : t -> t -> t
 (** Cell-wise sum into a fresh sketch. Commutative and associative.
     Raises [Failure] on mismatched parameters. *)
-
-val sub : t -> t -> t
-(** Cell-wise difference ([merge]'s inverse) into a fresh sketch. *)
 
 val to_string : t -> string
 (** Fixed-layout codec: dense cells, or index/value pairs when the grid

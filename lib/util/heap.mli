@@ -25,5 +25,3 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 
-val to_list : 'a t -> 'a list
-(** Heap contents in arbitrary order (for inspection and tests). *)

@@ -20,8 +20,6 @@ val minimum : float array -> float
 
 val maximum : float array -> float
 
-val sum : float array -> float
-
 val histogram : float array -> bins:int -> (float * int) array
 (** [histogram xs ~bins] buckets samples into equal-width bins over
     [\[min, max\]]; returns [(bin_left_edge, count)] pairs. *)
@@ -39,4 +37,3 @@ type summary = {
 
 val summarize : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit

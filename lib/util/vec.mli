@@ -33,4 +33,3 @@ val unit_or : t -> fallback:t -> t
 val centroid : t list -> t
 (** Mean of a non-empty list of equal-dimension vectors. *)
 
-val pp : Format.formatter -> t -> unit

@@ -138,7 +138,6 @@ let trilat_impl _args =
     Op.init = Value.List [];
     lift = (fun v -> Value.List (take3 (to_frames v)));
     merge = (fun a b -> Value.List (take3 (Value.to_list a @ Value.to_list b)));
-    remove = None;
     finalize =
       (fun v ->
         let obs =

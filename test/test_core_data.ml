@@ -201,22 +201,6 @@ let test_op_union_cap () =
   let r = fold_lift impl [ Value.Int 1; Value.Int 2; Value.Int 3 ] in
   Alcotest.(check int) "capped" 2 (List.length (Value.to_list r))
 
-let test_op_remove_inverse () =
-  List.iter
-    (fun spec ->
-      let impl = Op.compile spec in
-      match impl.Op.remove with
-      | None -> Alcotest.fail "expected an inverse"
-      | Some remove ->
-        let lifted = impl.Op.lift (Value.Int 5) in
-        let acc = impl.Op.merge (impl.Op.merge impl.Op.init lifted) (impl.Op.lift (Value.Int 2)) in
-        let back = remove acc lifted in
-        Alcotest.(check bool)
-          (Printf.sprintf "merge then remove is identity for %s" (Op.spec_name spec))
-          true
-          (Value.equal (impl.Op.finalize back) (impl.Op.finalize (impl.Op.merge impl.Op.init (impl.Op.lift (Value.Int 2))))))
-    [ Op.Sum; Op.Count; Op.Avg ]
-
 let test_op_custom_registry () =
   Op.register "always-42"
     (fun _args ->
@@ -224,7 +208,6 @@ let test_op_custom_registry () =
         Op.init = Value.Int 0;
         lift = (fun _ -> Value.Int 0);
         merge = (fun _ _ -> Value.Int 0);
-        remove = None;
         finalize = (fun _ -> Value.Int 42);
         window_fold = Op.Lift_merge;
       });
@@ -362,7 +345,6 @@ let tests =
     Alcotest.test_case "op histogram" `Quick test_op_histogram;
     Alcotest.test_case "op quantile" `Quick test_op_quantile;
     Alcotest.test_case "op union cap" `Quick test_op_union_cap;
-    Alcotest.test_case "op remove inverse" `Quick test_op_remove_inverse;
     Alcotest.test_case "op custom registry" `Quick test_op_custom_registry;
     Alcotest.test_case "op window fold faults" `Quick test_window_fold_faults;
     QCheck_alcotest.to_alcotest (prop_merge_comm Op.Sum);

@@ -115,7 +115,7 @@ let test_install_message_size_scales_with_chunk () =
   Alcotest.(check bool) "16 chunks smaller than 1" true (size 16 < size 1)
 
 let test_harness_smoke () =
-  let h = Mortar_experiments.Harness.create ~hosts:32 ~transits:4 ~stubs:6 ~bf:4 () in
+  let h = Mortar_experiments.Harness.create (Small_scenario.peer_count ~hosts:32 ()) in
   Mortar_experiments.Harness.run_until h 30.0;
   let rows = Mortar_experiments.Harness.results_between h 15.0 30.0 in
   Alcotest.(check bool) "results recorded" true (List.length rows > 5);

@@ -33,8 +33,9 @@ let test_provenance_plumbing () =
   (* The harness's true-window provenance: with synchronized clocks every
      window's tuples carry their true slot and the majority matches. *)
   let h =
-    Mortar_experiments.Harness.create ~hosts:24 ~transits:4 ~stubs:6 ~bf:4 ~window:1.0
-      ~track_provenance:true ()
+    Small_scenario.peer_count ~hosts:24 ()
+    |> Mortar_experiments.Scenario.map_metas (fun m -> { m with track_provenance = true })
+    |> Mortar_experiments.Harness.create
   in
   Mortar_experiments.Harness.run_until h 20.0;
   let prov = Mortar_experiments.Harness.provenance_results h in

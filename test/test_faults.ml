@@ -176,7 +176,7 @@ let test_in_flight_outlives_sender () =
 
 let test_partition_and_heal () =
   let hosts = 32 in
-  let h = Harness.create ~seed:41 ~hosts ~transits:4 ~stubs:6 ~bf:4 () in
+  let h = Harness.create (Small_scenario.peer_count ~seed:41 ~hosts ()) in
   let d = Harness.deployment h in
   let topo = D.topology d in
   let cut_stub = (Topology.stub_of topo 0 + 1) mod 6 in

@@ -20,6 +20,8 @@ let () =
       ("faults", Test_faults.tests);
       ("peer", Test_peer.tests);
       ("experiments", Test_experiments.tests);
+      ("scenario", Test_scenario.tests);
+      ("cli", Test_cli.tests);
       ("result-ledger", Test_ledger.tests);
       ("obs", Test_obs.tests);
       ("edge-cases", Test_edge_cases.tests);

@@ -196,7 +196,7 @@ let test_harness_figures_from_ledger () =
       Obs.Reg.clear Obs.default;
       Obs.enabled := true;
       let hosts = 24 in
-      let h = Harness.create ~hosts ~transits:4 ~stubs:6 ~bf:4 ~window:1.0 () in
+      let h = Harness.create (Small_scenario.peer_count ~hosts ()) in
       Harness.run_until h 15.0;
       let reg = Obs.default in
       let results = Harness.results h in

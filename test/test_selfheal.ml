@@ -16,9 +16,9 @@
    The simulations are deterministic, so these are exhaustive checks
    over a sampled seed space, not statistical smoke tests. *)
 
-module D = Mortar_emul.Deployment
 module Peer = Mortar_core.Peer
 module Harness = Mortar_experiments.Harness
+module Scenario = Mortar_experiments.Scenario
 module Sibling = Mortar_overlay.Sibling
 module Obs = Mortar_obs.Obs
 
@@ -34,19 +34,25 @@ let run_scenario ~seed =
   let config =
     { Peer.default_config with Peer.self_heal = true; warmup_buffer = 16; ctl_retries = 2 }
   in
+  let s =
+    Scenario.peer_count ~seed ~hosts
+    |> Scenario.map_tree_sets (fun ts -> { ts with bf = 6; degree = 2 })
+    |> Scenario.map_metas (fun m -> { m with track_provenance = true })
+  in
   let h =
-    Harness.create ~seed ~hosts ~transits:3 ~stubs:6 ~bf:6 ~degree:2
-      ~track_provenance:true ~config ()
+    Harness.create
+      {
+        s with
+        topology = { s.topology with transits = 3; stubs = 6 };
+        deployment = { s.deployment with config };
+        churn =
+          Some
+            { seed = seed lxor 0x2b; from = chaos_from; until = chaos_until; protect = [ 0 ];
+              churn_period = 10.0; churn_kills = 1; down_min = 6.0; down_max = 12.0;
+              burst_period = 60.0; burst_len = 10.0;
+              kill_period = 15.0; kill_fraction = 0.7; kill_len = 12.0 };
+      }
   in
-  let d = Harness.deployment h in
-  let schedule =
-    D.composed_churn d
-      ~rng:(Mortar_util.Rng.create (seed lxor 0x2b))
-      ~from:chaos_from ~until:chaos_until ~protect:[ 0 ] ~churn_period:10.0 ~churn_kills:1
-      ~down_min:6.0 ~down_max:12.0 ~burst_period:60.0 ~burst_len:10.0 ~kill_period:15.0
-      ~kill_fraction:0.7 ~kill_len:12.0 ()
-  in
-  D.schedule_faults d schedule;
   (h, hosts)
 
 (* Advance in [step]-second increments, reporting the unreachable set at

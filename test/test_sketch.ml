@@ -96,12 +96,6 @@ let prop_cm_query_bounds =
       Cm.total t = List.length keys
       && Hashtbl.fold (fun k c ok -> ok && Cm.query t ~key:k >= c) exact true)
 
-let prop_cm_remove_inverse =
-  QCheck.Test.make ~name:"cm sub undoes merge (bytes)" ~count:100 pair_gen
-    (fun (ka, kb) ->
-      let a = cm_of ka and b = cm_of kb in
-      String.equal (Cm.to_string (Cm.sub (Cm.merge a b) b)) (Cm.to_string a))
-
 (* ------------------------------------------------------------------ *)
 (* Accuracy at the advertised error, deterministic seeds. *)
 
@@ -314,17 +308,6 @@ let test_op_merge_order_bytes () =
   Alcotest.(check bool) "null left id" true (Value.equal (impl.Op.merge impl.Op.init fwd) fwd);
   Alcotest.(check bool) "null right id" true (Value.equal (impl.Op.merge fwd impl.Op.init) fwd)
 
-let test_op_remove () =
-  let impl = Op.compile (Op.Sketch_agms { rows = 3; cols = 16; seed = 5 }) in
-  let remove = Option.get impl.Op.remove in
-  let a = impl.Op.lift (Value.Int 1) in
-  let ab = impl.Op.merge a (impl.Op.lift (Value.Int 2)) in
-  let back = remove ab (impl.Op.lift (Value.Int 2)) in
-  Alcotest.(check bool) "remove undoes merge" true (Value.equal back a);
-  (* HLL is max-merged: no retraction. *)
-  let hll = Op.compile (Op.Sketch_hll { b = 9; seed = 5 }) in
-  Alcotest.(check bool) "hll has no remove" true (hll.Op.remove = None)
-
 let test_op_faults () =
   let impl = Op.compile (Op.Sketch_count_min { depth = 4; width = 32; seed = 5 }) in
   let bad () = ignore (impl.Op.merge (impl.Op.lift (Value.Int 1)) (Value.Str "garbage")) in
@@ -425,7 +408,6 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_union "cm" cm_of Cm.to_string Cm.merge);
     QCheck_alcotest.to_alcotest (prop_roundtrip "cm" cm_of Cm.to_string Cm.of_string);
     QCheck_alcotest.to_alcotest prop_cm_query_bounds;
-    QCheck_alcotest.to_alcotest prop_cm_remove_inverse;
     QCheck_alcotest.to_alcotest (prop_comm "agms" agms_of Agms.to_string Agms.merge);
     QCheck_alcotest.to_alcotest (prop_assoc "agms" agms_of Agms.to_string Agms.merge);
     QCheck_alcotest.to_alcotest (prop_union "agms" agms_of Agms.to_string Agms.merge);
@@ -454,7 +436,6 @@ let tests =
     Alcotest.test_case "wire size within planner cap" `Quick test_wire_caps;
     Alcotest.test_case "op-level hll" `Quick test_op_hll;
     Alcotest.test_case "op merge order byte-identical" `Quick test_op_merge_order_bytes;
-    Alcotest.test_case "op remove (linear sketches)" `Quick test_op_remove;
     Alcotest.test_case "op faults are type errors" `Quick test_op_faults;
     Alcotest.test_case "state wire size caps" `Quick test_state_wire_size;
     Alcotest.test_case "window fold edges (bytes)" `Quick test_window_fold_edges;
