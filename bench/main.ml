@@ -291,6 +291,7 @@ module Scale = struct
   module D = Mortar_emul.Deployment
   module Ledger = Mortar_experiments.Ledger
   module Scenario = Mortar_experiments.Scenario
+  module Json = Mortar_obs.Obs_json
 
   type row = {
     hosts : int;
@@ -330,9 +331,8 @@ module Scale = struct
     in
     wall *. 1e9 /. float_of_int inserts
 
-  (* Transport send+deliver cost across random host pairs (keyed, so the
-     duplicate-suppression path is exercised too). Per-send ns, including
-     the engine's delivery events. *)
+  (* Transport send+deliver cost across random host pairs. Per-send ns,
+     including the engine's delivery events. *)
   let bench_transport topo ~sends =
     let rng = Rng.create 11 in
     let engine = Engine.create () in
@@ -346,9 +346,8 @@ module Scale = struct
       time (fun () ->
           for i = 0 to sends - 1 do
             let src = Rng.int rng n and dst = Rng.int rng n in
-            let kind = if i land 7 = 0 then "heartbeat" else "data" in
-            Transport.send transport ~src ~dst ~size:64 ~kind
-              ~key:(string_of_int i) ();
+            let traffic = if i land 7 = 0 then Transport.Heartbeat else Transport.Data in
+            Transport.send transport ~src ~dst ~size:64 ~traffic ()
           done;
           Engine.run engine)
     in
@@ -444,111 +443,34 @@ module Scale = struct
     Buffer.add_string b "  ]\n}\n";
     Buffer.contents b
 
-  (* Minimal JSON reader, enough to validate what we just wrote (and to
-     fail CI if the writer ever emits something unparseable). *)
-  let validate_json s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "bench JSON invalid at %d: %s" !pos msg) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        incr pos
-      done
-    in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> incr pos
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some ('t' | 'f') -> bool_lit ()
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> fail "value"
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then incr pos
-      else begin
-        let rec members () =
-          string_lit ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            skip_ws ();
-            members ()
-          | Some '}' -> incr pos
-          | _ -> fail "object"
-        in
-        members ()
-      end
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then incr pos
-      else begin
-        let rec elements () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            elements ()
-          | Some ']' -> incr pos
-          | _ -> fail "array"
-        in
-        elements ()
-      end
-    and string_lit () =
-      expect '"';
-      while !pos < n && s.[!pos] <> '"' do
-        incr pos
-      done;
-      if !pos >= n then fail "unterminated string";
-      incr pos
-    and bool_lit () =
-      let take w = String.length w <= n - !pos && String.sub s !pos (String.length w) = w in
-      if take "true" then pos := !pos + 4
-      else if take "false" then pos := !pos + 5
-      else fail "boolean"
-    and number () =
-      let start = !pos in
-      while
-        !pos < n
-        && match s.[!pos] with '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "number"
-    in
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage"
+  (* Parse what we just wrote and check it on the tree: every scale row
+     must carry the fields downstream tooling reads, [shards] included
+     (CI treats an unparseable or incomplete results file as a failure,
+     not just a curiosity). *)
+  let parse_json ~what s =
+    match Json.parse s with
+    | Ok j -> j
+    | Error msg -> failwith (Printf.sprintf "%s: invalid JSON: %s" what msg)
 
-  (* Schema check on top of well-formedness: every row must carry the
-     fields downstream tooling reads, [shards] included. *)
-  let validate_schema s =
-    let contains key =
-      let kn = String.length key and n = String.length s in
-      let rec at i = i + kn <= n && (String.sub s i kn = key || at (i + 1)) in
-      at 0
-    in
+  let require ~what j keys =
     List.iter
-      (fun key ->
-        if not (contains key) then failwith ("bench JSON missing key " ^ key))
-      [
-        "\"bench\""; "\"quick\""; "\"scales\""; "\"hosts\""; "\"routers\""; "\"shards\"";
-        "\"topology_build_s\""; "\"agg_round\""; "\"wall_s\""; "\"completeness\"";
-      ]
+      (fun k -> if Option.is_none (Json.member k j) then failwith (what ^ " missing key " ^ k))
+      keys
+
+  let validate s =
+    let what = "bench JSON" in
+    let j = parse_json ~what s in
+    require ~what j [ "bench"; "quick"; "scales" ];
+    match Json.member "scales" j with
+    | Some (Json.Arr (_ :: _ as rows)) ->
+      List.iter
+        (fun row ->
+          require ~what row [ "hosts"; "routers"; "shards"; "topology_build_s"; "agg_round" ];
+          Option.iter
+            (fun agg -> require ~what agg [ "wall_s"; "completeness" ])
+            (Json.member "agg_round" row))
+        rows
+    | _ -> failwith (what ^ ": scales is not a non-empty array")
 
   let run ~quick ~shards ~hosts ~out =
     (* The agg rounds allocate short-lived events and summaries at a high
@@ -580,22 +502,19 @@ module Scale = struct
         host_counts
     in
     let json = json_of_rows ~quick rows in
-    validate_json json;
-    validate_schema json;
+    validate json;
     (match Filename.dirname out with
     | "." | "" -> ()
     | dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
     let oc = open_out out in
     output_string oc json;
     close_out oc;
-    (* Read back and re-validate: CI treats an unparseable results file
-       as a failure, not just a curiosity. *)
+    (* Read back and re-validate. *)
     let ic = open_in out in
     let len = in_channel_length ic in
     let contents = really_input_string ic len in
     close_in ic;
-    validate_json contents;
-    validate_schema contents;
+    validate contents;
     Printf.printf "wrote %s (%d bytes, JSON ok)\n%!" out (String.length contents)
 end
 
@@ -629,30 +548,20 @@ let () =
     Obs.Reg.clear Obs.default
   end;
   (* --history FILE: validate the append-only benchmark history
-     (results/BENCH.jsonl) — every line must be well-formed JSON carrying
+     (results/BENCH.jsonl) — every line must be a JSON object carrying
      the keys downstream tooling groups by. Runs before (and composes
      with) any timing mode, so `--scale --quick --history ...` gates both
      the fresh results file and the accumulated history. *)
   Option.iter
     (fun path ->
-      let contains line key =
-        let kn = String.length key and n = String.length line in
-        let rec at i = i + kn <= n && (String.sub line i kn = key || at (i + 1)) in
-        at 0
-      in
       let ic = open_in path in
       let rows = ref 0 in
       (try
          while true do
            let line = input_line ic in
            if String.trim line <> "" then begin
-             Scale.validate_json line;
-             List.iter
-               (fun key ->
-                 if not (contains line key) then
-                   failwith
-                     (Printf.sprintf "%s row %d missing key %s" path (!rows + 1) key))
-               [ "\"pr\""; "\"bench\""; "\"hosts\"" ];
+             let what = Printf.sprintf "%s row %d" path (!rows + 1) in
+             Scale.require ~what (Scale.parse_json ~what line) [ "pr"; "bench"; "hosts" ];
              incr rows
            end
          done

@@ -53,12 +53,12 @@ let rec wire_size = function
   | Reliable { inner; _ } -> 8 + wire_size inner
   | Ack _ -> 16
 
-let rec kind = function
-  | Data _ -> "data"
-  | Heartbeat _ -> "heartbeat"
-  | Result_fwd _ -> "result"
-  | Reliable { inner; _ } -> kind inner
+let rec traffic = function
+  | Data _ -> Mortar_net.Transport.Data
+  | Heartbeat _ -> Mortar_net.Transport.Heartbeat
+  | Result_fwd _ -> Mortar_net.Transport.Result
+  | Reliable { inner; _ } -> traffic inner
   | Reconcile_request _ | Reconcile_reply _ | Install _ | Remove _ | View_request _
   | View_reply _ | Adopt _ | Ack _ ->
-    "control"
+    Mortar_net.Transport.Control
 

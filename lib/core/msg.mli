@@ -62,8 +62,8 @@ type payload =
 
 val wire_size : payload -> int
 
-val kind : payload -> string
-(** Traffic class for bandwidth accounting: ["data"], ["heartbeat"],
-    ["result"] ({!Result_fwd} fan-out) or ["control"]. A {!Reliable}
-    envelope takes its inner payload's kind; {!Ack}s are ["control"]. *)
+val traffic : payload -> Mortar_net.Transport.traffic
+(** Traffic class for bandwidth accounting: [Data], [Heartbeat],
+    [Result] ({!Result_fwd} fan-out) or [Control]. A {!Reliable}
+    envelope takes its inner payload's class; {!Ack}s are [Control]. *)
 

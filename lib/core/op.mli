@@ -85,6 +85,12 @@ val fold : impl -> on_fault:(unit -> unit) -> ('a -> Value.t) -> 'a list -> Valu
     [on_fault] (a query fault: the window survives, §2.2's non-blocking
     rule). An empty list folds to [init]. *)
 
+val raw_payload : impl -> Value.t -> Value.t
+(** What a source buffers of a tuple until its window folds: under
+    [In_place] the tuple's {!sketch_key} as a [Value.Int], under
+    [Lift_merge] the tuple itself. [fold] gives the same bytes over
+    either. *)
+
 val register : string -> (Value.t list -> impl) -> unit
 (** Register a user-defined operator under a name usable from the Mortar
     Stream Language. Re-registration replaces. *)

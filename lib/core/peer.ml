@@ -11,7 +11,7 @@ type timer = { cancel : unit -> unit }
 
 type runtime = {
   self : int;
-  send : dst:int -> size:int -> kind:string -> Msg.payload -> unit;
+  send : dst:int -> size:int -> traffic:Mortar_net.Transport.traffic -> Msg.payload -> unit;
   local_time : unit -> float;
   latency_to : int -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
@@ -119,7 +119,7 @@ type instance = {
   emitted : float Itbl.t; (* evicted local slot -> eviction basis time *)
   mutable max_emitted : int;
   mutable emitted_te : float; (* eviction watermark (tuple windows) *)
-  mutable raws : raw list; (* newest first; time windows *)
+  raws : Raw_buf.t; (* time windows *)
   mutable tw_buffer : raw list; (* newest first; tuple windows, length <= range *)
   mutable tw_pending : int; (* raws since the last tuple-window emission *)
   mutable tw_last_te : float;
@@ -319,7 +319,7 @@ let confirmed_alive t node =
 (* Sending helpers.                                                    *)
 
 let send_msg t ~dst payload =
-  t.rt.send ~dst ~size:(Msg.wire_size payload) ~kind:(Msg.kind payload) payload
+  t.rt.send ~dst ~size:(Msg.wire_size payload) ~traffic:(Msg.traffic payload) payload
 
 (* ------------------------------------------------------------------ *)
 (* Reliable control plane: Install/Remove/View traffic is acked per
@@ -400,7 +400,7 @@ let ctl_ack t ~src ~token =
     if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_acked"
   | _ -> () (* late, duplicate, or forged ack *)
 
-let ctl_seen_cap = 1024
+let seen_ctl_cap = 1024
 
 (* Retransmissions of an already-processed envelope are acked but not
    re-processed (handlers are idempotent, but e.g. a duplicate Install
@@ -411,7 +411,7 @@ let ctl_duplicate t ~src ~token =
   else begin
     Hashtbl.replace t.seen_ctl k ();
     Queue.push k t.seen_ctl_order;
-    while Hashtbl.length t.seen_ctl > ctl_seen_cap do
+    while Hashtbl.length t.seen_ctl > seen_ctl_cap do
       Hashtbl.remove t.seen_ctl (Queue.pop t.seen_ctl_order)
     done;
     false
@@ -535,7 +535,13 @@ and route_and_send t inst (s : Summary.t) ?(path = []) ~visited ~arrival_tree ~t
       Obs.incr ~scope:(Obs.Node t.rt.self) "peer.dropped";
       (* dst = -1: the summary died here, no next hop existed. *)
       Obs.trace ~t:(now_local t)
-        (Obs.Tuple_drop { src = t.rt.self; dst = -1; kind = "data"; reason = "routing" })
+        (Obs.Tuple_drop
+           {
+             src = t.rt.self;
+             dst = -1;
+             kind = Mortar_net.Transport.(traffic_name Data);
+             reason = "routing";
+           })
     end
   | Routing.Forward { dst; tree; descended } ->
     let ttl_down = if descended then ttl_down + 1 else ttl_down in
@@ -694,11 +700,15 @@ and close_slide t inst =
     let closing = inst.next_slot - 1 in
     let wend = float_of_int (closing + 1) *. slide in
     let wstart = wend -. range in
-    let in_window r = r.basis >= wstart -. 1e-9 && r.basis < wend -. 1e-9 in
-    let window_raws = List.filter in_window inst.raws in
+    (* Newest first, as the fold and the age sum below expect. *)
+    let window_raws =
+      Raw_buf.fold inst.raws ~lo:(wstart -. 1e-9) ~hi:(wend -. 1e-9)
+        (fun acc ~basis ~payload ~prov -> { basis; payload; prov } :: acc)
+        []
+    in
     (* Raws that can no longer appear in any future window are dropped. *)
     let next_wstart = wstart +. slide in
-    inst.raws <- List.filter (fun r -> r.basis >= next_wstart -. 1e-9) inst.raws;
+    Raw_buf.drop_before inst.raws (next_wstart -. 1e-9);
     let index = Index.of_slot ~slide closing in
     let summary =
       match window_raws with
@@ -792,12 +802,12 @@ and inject t ~stream ?true_slot payload =
         | Some payload ->
           let b = basis inst ~local:(now_local t) in
           let prov = match true_slot with Some s -> [ (s, 1) ] | None -> [] in
-          let r = { basis = b; payload; prov } in
+          let payload = Op.raw_payload inst.op payload in
           inst.raw_seen <- true;
           (match inst.meta.Query.window with
-          | Window.Time _ -> inst.raws <- r :: inst.raws
+          | Window.Time _ -> Raw_buf.push inst.raws ~basis:b ~prov payload
           | Window.Tuples { range; slide } ->
-            inst.tw_buffer <- r :: inst.tw_buffer;
+            inst.tw_buffer <- { basis = b; payload; prov } :: inst.tw_buffer;
             if List.length inst.tw_buffer > range then
               inst.tw_buffer <- List.filteri (fun i _ -> i < range) inst.tw_buffer;
             inst.tw_pending <- inst.tw_pending + 1;
@@ -1058,7 +1068,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           emitted = Itbl.create 64;
           max_emitted = min_int;
           emitted_te = neg_infinity;
-          raws = [];
+          raws = Raw_buf.create ();
           tw_buffer = [];
           tw_pending = 0;
           tw_last_te = 0.0;

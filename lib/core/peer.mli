@@ -31,7 +31,7 @@ type timer = { cancel : unit -> unit }
 
 type runtime = {
   self : int;
-  send : dst:int -> size:int -> kind:string -> Msg.payload -> unit;
+  send : dst:int -> size:int -> traffic:Mortar_net.Transport.traffic -> Msg.payload -> unit;
   local_time : unit -> float; (** The node's (possibly offset/skewed) clock. *)
   latency_to : int -> float;
       (** One-way latency estimate to a neighbor (UdpCC RTT/2 in the

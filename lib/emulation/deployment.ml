@@ -15,8 +15,7 @@ module Par = Mortar_par.Par
 type xmsg = {
   x_src : int;
   x_dst : int;
-  x_kind : string;
-  x_key : string option;
+  x_traffic : Transport.traffic;
   x_payload : Mortar_core.Msg.payload;
 }
 
@@ -54,7 +53,8 @@ let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
   {
     Peer.self;
     send =
-      (fun ~dst ~size ~kind payload -> Transport.send transport ~src:self ~dst ~size ~kind payload);
+      (fun ~dst ~size ~traffic payload ->
+        Transport.send transport ~src:self ~dst ~size ~traffic payload);
     local_time;
     latency_to = (fun dst -> Topology.latency topo self dst);
     set_timer =
@@ -86,11 +86,11 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let t_root = Rng.split rng in
   let t_rngs = Array.init nshards (fun _ -> Rng.split t_root) in
   let outboxes = Array.init nshards (fun s -> Shard.create_outbox ~src_shard:s ~shards:nshards) in
-  let remote s ~deliver_at ~src ~dst ~kind ~key payload =
+  let remote s ~deliver_at ~src ~dst ~traffic payload =
     Shard.post outboxes.(s)
       ~dst_shard:shard_of.(dst)
       ~time:deliver_at
-      { x_src = src; x_dst = dst; x_kind = kind; x_key = key; x_payload = payload }
+      { x_src = src; x_dst = dst; x_traffic = traffic; x_payload = payload }
   in
   let transports =
     Transport.create_sharded ~engines ~shard_of ~rngs:t_rngs ~remote topo ~loss ()
@@ -147,9 +147,8 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
       match Par.Ctx.get () with Some sid -> t.regs.(sid) | None -> t.ctl_sink);
   t
 
-(* Liveness, handlers and duplicate memory are shared across the shard
-   instances; [set_up] goes through instance 0 so its [up_count] tracks
-   the shared array. *)
+(* Liveness and handlers are shared across the shard instances, so any
+   instance reads and writes them; instance 0 it is. *)
 let shared_transport t = t.transports.(0)
 
 let topology t = t.topo
@@ -209,8 +208,8 @@ let drain_outboxes t =
           let m = st.Shard.msg in
           ignore
             (Engine.schedule_at engine ~at:st.Shard.time (fun () ->
-                 Transport.deliver_msg transport ~src:m.x_src ~dst:m.x_dst ~kind:m.x_kind
-                   ~key:m.x_key m.x_payload)))
+                 Transport.deliver_msg transport ~src:m.x_src ~dst:m.x_dst
+                   ~traffic:m.x_traffic m.x_payload)))
         msgs
   done
 
@@ -317,7 +316,12 @@ let fold_transports t f acc = Array.fold_left f acc t.transports
    destination's instance, so the observer goes on every one. With
    [domains > 1] it fires concurrently from several domains — keep
    observers effect-free or confine them to one host's traffic. *)
-let on_deliver t f = Array.iter (fun tr -> Transport.on_deliver tr f) t.transports
+let on_deliver t f =
+  Array.iter
+    (fun tr ->
+      Transport.on_deliver tr (fun ~src ~dst ~traffic ->
+          f ~src ~dst ~kind:(Transport.traffic_name traffic)))
+    t.transports
 
 let messages_sent t = fold_transports t (fun acc tr -> acc + Transport.messages_sent tr) 0
 
@@ -330,31 +334,20 @@ let events_fired t =
 let total_bytes t = fold_transports t (fun acc tr -> acc +. Transport.total_bytes tr) 0.0
 
 let total_bytes_of_kind t ~kind =
-  fold_transports t (fun acc tr -> acc +. Transport.total_bytes_of_kind tr ~kind) 0.0
+  match Transport.traffic_of_name kind with
+  | None -> 0.0
+  | Some c -> fold_transports t (fun acc tr -> acc +. Transport.total_bytes_of tr c) 0.0
 
-let kinds t =
-  fold_transports t (fun acc tr -> List.rev_append (Transport.kinds tr) acc) []
-  |> List.sort_uniq compare
+(* One class's bytes, bucket-merged across the shard instances. *)
+let bytes_series t traffic =
+  let dst = Series.create ~bucket:Transport.bucket in
+  Array.iter (fun tr -> Series.merge_into ~dst (Transport.bytes_series tr traffic)) t.transports;
+  dst
 
-let bytes_series t ~kind =
-  fold_transports t
-    (fun acc tr ->
-      match Transport.bytes_series tr ~kind with
-      | None -> acc
-      | Some src ->
-        let dst =
-          match acc with Some d -> d | None -> Series.create ~bucket:Transport.bucket
-        in
-        Series.merge_into ~dst src;
-        Some dst)
-    None
-
-let mbps t ?kind lo hi =
-  let bytes kind =
-    match bytes_series t ~kind with None -> 0.0 | Some s -> Series.sum_between s lo hi
-  in
-  let kinds = match kind with Some k -> [ k ] | None -> kinds t in
-  List.fold_left (fun acc k -> acc +. bytes k) 0.0 kinds *. 8.0 /. (hi -. lo) /. 1e6
+let mbps t ?traffic lo hi =
+  let classes = match traffic with Some c -> [ c ] | None -> Transport.all_traffic in
+  let bytes c = Series.sum_between (bytes_series t c) lo hi in
+  List.fold_left (fun acc c -> acc +. bytes c) 0.0 classes *. 8.0 /. (hi -. lo) /. 1e6
 
 let set_up t node up =
   if !Obs.enabled && Transport.is_up (shared_transport t) node <> up then
@@ -439,7 +432,6 @@ let crash_window t ~node ~at:down_at ~recover_at =
   at t down_at (fun () -> set_up t node false);
   at t recover_at (fun () ->
       Peer.crash t.peers.(node);
-      Transport.clear_seen (shared_transport t) ~dst:node;
       set_up t node true)
 
 let schedule_fault t = function
@@ -474,7 +466,6 @@ let schedule_fault t = function
             Array.iter
               (fun v ->
                 Peer.crash t.peers.(v);
-                Transport.clear_seen (shared_transport t) ~dst:v;
                 set_up t v true)
               victims))
 

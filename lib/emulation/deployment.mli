@@ -49,10 +49,11 @@ val default_domains : int ref
 
 val on_deliver :
   t -> (src:Mortar_net.Topology.host -> dst:Mortar_net.Topology.host -> kind:string -> unit) -> unit
-(** Observe every message delivery. The observer is installed on each
-    shard instance and fires on the destination shard's domain — with
-    [domains > 1] keep it effect-free or confine mutation to per-host
-    state. *)
+(** Observe every message delivery; [kind] is the message's
+    {!Mortar_net.Transport.traffic_name}. The observer is installed on
+    each shard instance and fires on the destination shard's domain —
+    with [domains > 1] keep it effect-free or confine mutation to
+    per-host state. *)
 
 val messages_sent : t -> int
 
@@ -64,10 +65,13 @@ val events_fired : t -> int
 val total_bytes : t -> float
 
 val total_bytes_of_kind : t -> kind:string -> float
+(** One class's link-bytes, by its {!Mortar_net.Transport.traffic_name};
+    [0.] for a name that is no class. *)
 
-val mbps : t -> ?kind:string -> float -> float -> float
+val mbps : t -> ?traffic:Mortar_net.Transport.traffic -> float -> float -> float
 (** [mbps t lo hi]: mean network load in megabits per second across all
-    links between two sim times — every traffic kind, or only [kind]. *)
+    links between two sim times — every traffic class, or only
+    [traffic]. *)
 
 val topology : t -> Mortar_net.Topology.t
 

@@ -46,14 +46,14 @@ let run ~quick =
                 Common.cell_f (Harness.mean_max_path_length h t0 t1);
                 Common.cell_f (Harness.mean_latency h t0 t1);
                 Common.cell_f (mbps h t0 t1);
-                Common.cell_f (mbps h ~kind:"heartbeat" t0 t1);
+                Common.cell_f (mbps h ~traffic:Heartbeat t0 t1);
               ]
           end)
         (List.init (int_of_float stop / 10) Fun.id));
   (* Summary vs the paper's headline numbers. *)
   let steady0, steady1 = (30.0, 60.0) in
   let total = mbps h steady0 steady1 in
-  let hb = mbps h ~kind:"heartbeat" steady0 steady1 in
+  let hb = mbps h ~traffic:Heartbeat steady0 steady1 in
   Printf.printf
     "\nsteady state: load %.2f Mbps (heartbeats %.2f), latency %.2f s, path length %.2f (max %.2f)\n"
     total hb

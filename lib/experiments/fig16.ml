@@ -32,8 +32,8 @@ let build ~hosts ~seed =
           {
             Sdims.self = i;
             send =
-              (fun ~dst ~size ~kind msg ->
-                Transport.send transport ~src:i ~dst ~size ~kind msg);
+              (fun ~dst ~size ~traffic msg ->
+                Transport.send transport ~src:i ~dst ~size ~traffic msg);
             local_time = (fun () -> Engine.now engine);
             set_timer =
               (fun ~after f ->
@@ -87,6 +87,13 @@ let run ~quick =
   Engine.run ~until:horizon w.engine;
   (* Completeness series from the probe log, and bandwidth per bucket. *)
   let probes = List.of_seq (Queue.to_seq w.probe_log) in
+  let bytes_between t0 t1 =
+    List.fold_left
+      (fun acc c ->
+        acc +. Mortar_sim.Series.sum_between (Transport.bytes_series w.transport c) t0 t1)
+      0.0 Transport.all_traffic
+  in
+  let live = List.length (List.filter (Transport.is_up w.transport) (List.init hosts Fun.id)) in
   let bucket = 20.0 in
   Common.table ~columns:[ "t"; "completeness"; "live"; "load(Mbps)" ] (fun () ->
       List.filter_map
@@ -103,35 +110,17 @@ let run ~quick =
               | _ ->
                 Mortar_util.Stats.mean (Array.of_list window_probes) /. float_of_int hosts
             in
-            let bytes =
-              List.fold_left
-                (fun acc kind ->
-                  match Transport.bytes_series w.transport ~kind with
-                  | Some s -> acc +. Mortar_sim.Series.sum_between s t0 t1
-                  | None -> acc)
-                0.0
-                (Transport.kinds w.transport)
-            in
-            let live = Transport.up_count w.transport in
             Some
               [
                 Printf.sprintf "%.0f" t0;
                 Common.cell_pct completeness;
                 (if t1 >= horizon then string_of_int live else "-");
-                Common.cell_f (bytes *. 8.0 /. bucket /. 1e6);
+                Common.cell_f (bytes_between t0 t1 *. 8.0 /. bucket /. 1e6);
               ]
           end)
         (List.init (int_of_float (horizon /. bucket)) Fun.id));
   (* Headline numbers. *)
-  let steady_bytes =
-    List.fold_left
-      (fun acc kind ->
-        match Transport.bytes_series w.transport ~kind with
-        | Some s -> acc +. Mortar_sim.Series.sum_between s 40.0 110.0
-        | None -> acc)
-      0.0
-      (Transport.kinds w.transport)
-  in
+  let steady_bytes = bytes_between 40.0 110.0 in
   let late_over =
     let late = List.filter (fun (t, _) -> t > horizon -. 100.0) probes |> List.map snd in
     match late with

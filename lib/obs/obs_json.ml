@@ -263,10 +263,6 @@ let event_of_line line =
       let* kind = str_field j "kind" in
       let* reason = str_field j "reason" in
       Ok (Obs.Tuple_drop { src; dst; kind; reason })
-    | "dup_suppressed" ->
-      let* dst = int_field j "dst" in
-      let* kind = str_field j "kind" in
-      Ok (Obs.Dup_suppressed { dst; kind })
     | "ts_merge" ->
       let* node = int_field j "node" in
       let* query = str_field j "query" in

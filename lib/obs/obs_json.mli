@@ -3,7 +3,8 @@
     Just enough to read back what {!Obs.Reg.metrics_lines} and
     {!Obs.Reg.trace_lines} emit: objects, arrays, strings with the
     escapes the emitter produces, numbers, booleans and null. Used by
-    the sink round-trip tests and by [bin/obs_check.exe]. *)
+    the sink round-trip tests, by [bin/obs_check.exe] and by the scale
+    bench's output check. *)
 
 type t =
   | Null
@@ -12,6 +13,12 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+val parse : string -> (t, string) result
+(** One JSON value, surrounded by nothing but whitespace. *)
+
+val member : string -> t -> t option
+(** A field of an object; [None] for a missing field or a non-object. *)
 
 (** A parsed metric line. Numeric fields are floats because JSON has no
     integers; [counts] keeps bucket counts in bucket order. *)

@@ -27,7 +27,7 @@ type timer = { cancel : unit -> unit }
 
 type runtime = {
   self : int;
-  send : dst:int -> size:int -> kind:string -> msg -> unit;
+  send : dst:int -> size:int -> traffic:Mortar_net.Transport.traffic -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
   rng : Rng.t;
@@ -96,9 +96,9 @@ let learn t host =
     Routing_state.add t.state id
   end
 
-let send_to_id t id ~kind msg =
+let send_to_id t id ~traffic msg =
   match host_of t id with
-  | Some dst -> t.rt.send ~dst ~size:(msg_size msg) ~kind msg
+  | Some dst -> t.rt.send ~dst ~size:(msg_size msg) ~traffic msg
   | None -> ()
 
 let declare_dead t id =
@@ -142,7 +142,7 @@ let push_up t query =
   | None -> () (* we are the root; probes read the aggregate *)
   | Some parent ->
     let value, count = aggregate t query in
-    send_to_id t parent ~kind:"data"
+    send_to_id t parent ~traffic:Data
       (Update { query; child = Routing_state.self t.state; value; count })
 
 let rec publish_tick t query =
@@ -172,7 +172,7 @@ let ping_leaves t =
     | Some heard when now t -. heard > t.cfg.ping_timeout -> declare_dead t id
     | Some _ -> ()
     | None -> Hashtbl.replace t.last_heard (Id.to_int64 id) (now t));
-    send_to_id t id ~kind:"control" Ping
+    send_to_id t id ~traffic:Control Ping
   in
   List.iter check (Routing_state.leaves t.state);
   (* The next hop of every active attribute is the operationally critical
@@ -203,12 +203,12 @@ let leaf_repair t =
       | [] -> ()
       | _ ->
         let dst = Rng.pick_list t.rt.rng candidates in
-        t.rt.send ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request))
+        t.rt.send ~dst ~size:(msg_size Leafset_request) ~traffic:Control Leafset_request))
   | leaves -> (
     let id = Rng.pick_list t.rt.rng leaves in
     match host_of t id with
     | Some dst ->
-      t.rt.send ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request
+      t.rt.send ~dst ~size:(msg_size Leafset_request) ~traffic:Control Leafset_request
     | None -> ())
 
 let route_repair t =
@@ -261,13 +261,13 @@ let probe t ~query =
     (* We are the root ourselves. *)
     let value, count = aggregate t query in
     List.iter (fun f -> f ~query ~value ~count) t.probe_handlers
-  | Some hop -> send_to_id t hop ~kind:"control" (Probe { query; origin = t.rt.self })
+  | Some hop -> send_to_id t hop ~traffic:Control (Probe { query; origin = t.rt.self })
 
 let receive t ~src msg =
   learn t src;
   Hashtbl.replace t.last_heard (Id.to_int64 (id_of_host src)) (now t);
   match msg with
-  | Ping -> t.rt.send ~dst:src ~size:(msg_size Pong) ~kind:"control" Pong
+  | Ping -> t.rt.send ~dst:src ~size:(msg_size Pong) ~traffic:Control Pong
   | Pong -> ()
   | Leafset_request ->
     let members =
@@ -275,7 +275,7 @@ let receive t ~src msg =
     in
     t.rt.send ~dst:src
       ~size:(msg_size (Leafset_reply { members }))
-      ~kind:"control"
+      ~traffic:Control
       (Leafset_reply { members })
   | Leafset_reply { members } -> List.iter (learn t) members
   | Update { query; child; value; count } ->
@@ -291,8 +291,8 @@ let receive t ~src msg =
       let value, count = aggregate t query in
       t.rt.send ~dst:origin
         ~size:(msg_size (Probe_reply { query; value; count }))
-        ~kind:"control"
+        ~traffic:Control
         (Probe_reply { query; value; count })
-    | Some hop -> send_to_id t hop ~kind:"control" (Probe { query; origin }))
+    | Some hop -> send_to_id t hop ~traffic:Control (Probe { query; origin }))
   | Probe_reply { query; value; count } ->
     List.iter (fun f -> f ~query ~value ~count) t.probe_handlers

@@ -39,7 +39,7 @@ type timer = { cancel : unit -> unit }
 
 type runtime = {
   self : int;
-  send : dst:int -> size:int -> kind:string -> msg -> unit;
+  send : dst:int -> size:int -> traffic:Mortar_net.Transport.traffic -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
   rng : Mortar_util.Rng.t;

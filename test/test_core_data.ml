@@ -7,6 +7,7 @@ module Window = Mortar_core.Window
 module Expr = Mortar_core.Expr
 module Op = Mortar_core.Op
 module Summary = Mortar_core.Summary
+module Raw_buf = Mortar_core.Raw_buf
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -322,6 +323,37 @@ let test_window_fold_faults () =
       Alcotest.(check int) (Op.spec_name spec ^ " one fault per bad tuple") 2 !faults)
     fold_specs
 
+(* Raw_buf against the newest-first list it replaced in the peer: a
+   window fold sees the in-range tuples newest first, and dropping keeps
+   the later ones in order, also once the columns are reused. *)
+let prop_raw_buf =
+  let bases = QCheck.(list_of_size Gen.(int_range 0 300) (float_range 0.0 20.0)) in
+  QCheck.Test.make ~name:"raw buffer = newest-first list" ~count:200
+    QCheck.(triple bases (float_range 0.0 20.0) (float_range 0.0 20.0))
+    (fun (bases, a, b) ->
+      let lo = Float.min a b and hi = Float.max a b in
+      let buf = Raw_buf.create () and model = ref [] in
+      let push_all () =
+        List.iteri
+          (fun i basis ->
+            let payload = Value.Int i and prov = if i mod 3 = 0 then [ (i, 1) ] else [] in
+            Raw_buf.push buf ~basis ~prov payload;
+            model := (basis, payload, prov) :: !model)
+          bases
+      in
+      let window ~lo ~hi =
+        Raw_buf.fold buf ~lo ~hi (fun acc ~basis ~payload ~prov -> (basis, payload, prov) :: acc) []
+      in
+      let model_window ~lo ~hi = List.filter (fun (x, _, _) -> x >= lo && x < hi) !model in
+      push_all ();
+      let first = window ~lo ~hi = model_window ~lo ~hi in
+      Raw_buf.drop_before buf lo;
+      model := List.filter (fun (x, _, _) -> x >= lo) !model;
+      let everything () = window ~lo:neg_infinity ~hi:infinity in
+      let dropped = everything () = !model in
+      push_all ();
+      first && dropped && everything () = !model)
+
 let tests =
   [
     Alcotest.test_case "value accessors" `Quick test_value_accessors;
@@ -355,5 +387,6 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_merge_assoc Op.Avg);
     Alcotest.test_case "summary prov merge" `Quick test_summary_prov_merge;
     Alcotest.test_case "summary boundary" `Quick test_summary_boundary;
+    QCheck_alcotest.to_alcotest prop_raw_buf;
   ]
   @ List.map (fun spec -> QCheck_alcotest.to_alcotest (prop_window_fold spec)) fold_specs

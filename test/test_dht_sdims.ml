@@ -121,7 +121,7 @@ let build_world ~hosts =
         let rt : Sdims.runtime =
           {
             Sdims.self = i;
-            send = (fun ~dst ~size ~kind m -> Transport.send transport ~src:i ~dst ~size ~kind m);
+            send = (fun ~dst ~size ~traffic m -> Transport.send transport ~src:i ~dst ~size ~traffic m);
             local_time = (fun () -> Engine.now engine);
             set_timer =
               (fun ~after f ->

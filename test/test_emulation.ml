@@ -95,9 +95,79 @@ let test_msg_wire_sizes_monotone () =
       }
   in
   Alcotest.(check bool) "bigger payload, bigger wire size" true
-    (Msg.wire_size big > Msg.wire_size small);
-  Alcotest.(check string) "data kind" "data" (Msg.kind small);
-  Alcotest.(check string) "heartbeat kind" "heartbeat" (Msg.kind (Msg.Heartbeat { digest = None }))
+    (Msg.wire_size big > Msg.wire_size small)
+
+(* The constructor's name; exhaustive without a wildcard, so a new
+   payload constructor fails to compile here until the table below
+   classifies it. *)
+let constructor : Msg.payload -> string = function
+  | Data _ -> "Data"
+  | Heartbeat _ -> "Heartbeat"
+  | Reconcile_request _ -> "Reconcile_request"
+  | Reconcile_reply _ -> "Reconcile_reply"
+  | Install _ -> "Install"
+  | Remove _ -> "Remove"
+  | View_request _ -> "View_request"
+  | View_reply _ -> "View_reply"
+  | Adopt _ -> "Adopt"
+  | Result_fwd _ -> "Result_fwd"
+  | Reliable _ -> "Reliable"
+  | Ack _ -> "Ack"
+
+let test_msg_traffic_classes () =
+  let module T = Mortar_net.Transport in
+  let meta =
+    Mortar_core.Query.make_meta ~name:"q" ~source:"s" ~op:Mortar_core.Op.Sum
+      ~window:(Mortar_core.Window.tumbling 1.0) ~root:0 ~total_nodes:4 ()
+  in
+  let summary =
+    Mortar_core.Summary.make
+      ~index:(Mortar_core.Index.of_slot ~slide:1.0 0)
+      ~value:(Value.Int 1) ~count:1 ()
+  in
+  let set = [ ("q", 1, 0) ] and removed = [ ("r", 2) ] in
+  let plain =
+    [
+      ( Msg.Data
+          {
+            query = "q";
+            seqno = 1;
+            tree = 0;
+            summary;
+            visited = [];
+            path = [];
+            ttl_down = 0;
+            digest = "d";
+          },
+        T.Data );
+      (Msg.Heartbeat { digest = None }, T.Heartbeat);
+      (Msg.Heartbeat { digest = Some "d" }, T.Heartbeat);
+      (Msg.Reconcile_request { installed = set; removed }, T.Control);
+      (Msg.Reconcile_reply { installed = set; removed }, T.Control);
+      (Msg.Install { meta; members = []; edges = []; age = 0.0 }, T.Control);
+      (Msg.Remove { name = "q"; seqno = 1 }, T.Control);
+      (Msg.View_request { name = "q" }, T.Control);
+      (Msg.View_reply { meta; view = None; age = 0.0 }, T.Control);
+      (Msg.Adopt { query = "q"; seqno = 1; tree = 0 }, T.Control);
+      ( Msg.Result_fwd { query = "q"; slot = 0; value = Value.Int 3; count = 3; age = 0.5 },
+        T.Result );
+    ]
+  in
+  (* A reliable envelope is accounted as what it carries; acks are
+     control traffic. *)
+  let cases =
+    List.map (fun (p, c) -> (constructor p, p, c)) plain
+    @ List.map
+        (fun (p, c) -> ("Reliable " ^ constructor p, Msg.Reliable { token = 7; inner = p }, c))
+        plain
+    @ [ ("Ack", Msg.Ack { token = 7 }, T.Control) ]
+  in
+  List.iter
+    (fun (name, p, expected) ->
+      Alcotest.(check string) name (T.traffic_name expected) (T.traffic_name (Msg.traffic p)))
+    cases;
+  Alcotest.(check int) "every constructor covered" 12
+    (List.length (List.sort_uniq compare (List.map (fun (_, p, _) -> constructor p) cases)))
 
 let test_install_message_size_scales_with_chunk () =
   let rng = Rng.create 67 in
@@ -133,6 +203,7 @@ let tests =
     Alcotest.test_case "skewed timers" `Quick test_deployment_skewed_timer;
     Alcotest.test_case "plan requires coordinates" `Quick test_plan_requires_coordinates;
     Alcotest.test_case "msg wire sizes" `Quick test_msg_wire_sizes_monotone;
+    Alcotest.test_case "msg traffic classes" `Quick test_msg_traffic_classes;
     Alcotest.test_case "install size scales" `Quick test_install_message_size_scales_with_chunk;
     Alcotest.test_case "harness smoke" `Slow test_harness_smoke;
   ]

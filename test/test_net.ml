@@ -88,7 +88,7 @@ let test_transport_delivery_latency () =
   let engine, topo, transport = make_world () in
   let arrived = ref (-1.0) in
   Transport.register transport 1 (fun ~src:_ _m -> arrived := Engine.now engine);
-  Transport.send transport ~src:0 ~dst:1 ~size:100 "hello";
+  Transport.send transport ~src:0 ~dst:1 ~size:100 ~traffic:Data "hello";
   Engine.run engine;
   Alcotest.(check (float 1e-9)) "arrives after one-way latency" (Topology.latency topo 0 1)
     !arrived
@@ -98,11 +98,11 @@ let test_transport_down_drops () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   Transport.set_up transport 1 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   Engine.run engine;
   Alcotest.(check int) "down host receives nothing" 0 !got;
   Transport.set_up transport 1 true;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   Engine.run engine;
   Alcotest.(check int) "up again" 1 !got
 
@@ -111,19 +111,9 @@ let test_transport_down_source_drops () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   Transport.set_up transport 0 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   Engine.run engine;
   Alcotest.(check int) "disconnected source sends nothing" 0 !got
-
-let test_transport_dedup () =
-  let engine, _, transport = make_world () in
-  let got = ref 0 in
-  Transport.register transport 1 (fun ~src:_ _ -> incr got);
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k1" "x";
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k1" "x";
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k2" "x";
-  Engine.run engine;
-  Alcotest.(check int) "duplicate suppressed" 2 !got
 
 let test_transport_loss () =
   let topo = make_topo () in
@@ -132,7 +122,7 @@ let test_transport_loss () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   for _ = 1 to 1000 do
-    Transport.send transport ~src:0 ~dst:1 ~size:10 "x"
+    Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x"
   done;
   Engine.run engine;
   Alcotest.(check bool)
@@ -140,26 +130,45 @@ let test_transport_loss () =
     true
     (!got > 400 && !got < 600)
 
+(* Each class is accounted apart, and the total is the per-class sum
+   taken in declaration order (the order the figures sum in). *)
 let test_transport_bandwidth_accounting () =
   let engine, topo, transport = make_world () in
   Transport.register transport 1 (fun ~src:_ _ -> ());
-  Transport.send transport ~src:0 ~dst:1 ~size:100 ~kind:"data" "x";
-  Transport.send transport ~src:0 ~dst:1 ~size:50 ~kind:"heartbeat" "x";
+  let sizes = [ (Transport.Control, 30); (Data, 100); (Heartbeat, 50); (Result, 70) ] in
+  List.iter
+    (fun (traffic, size) -> Transport.send transport ~src:0 ~dst:1 ~size ~traffic "x")
+    sizes;
   Engine.run engine;
   let hops = float_of_int (Topology.hops topo 0 1) in
-  Alcotest.(check (float 1e-9)) "data bytes x hops" (100.0 *. hops)
-    (Transport.total_bytes_of_kind transport ~kind:"data");
-  Alcotest.(check (float 1e-9)) "heartbeat bytes x hops" (50.0 *. hops)
-    (Transport.total_bytes_of_kind transport ~kind:"heartbeat");
-  Alcotest.(check (float 1e-9)) "total" (150.0 *. hops) (Transport.total_bytes transport)
+  Alcotest.(check (list string))
+    "declaration order" [ "control"; "data"; "heartbeat"; "result" ]
+    (List.map Transport.traffic_name Transport.all_traffic);
+  List.iter
+    (fun (traffic, size) ->
+      let name = Transport.traffic_name traffic in
+      Alcotest.(check (float 1e-9)) (name ^ " bytes x hops") (float_of_int size *. hops)
+        (Transport.total_bytes_of transport traffic);
+      Alcotest.(check bool) (name ^ " name round-trips") true
+        (Transport.traffic_of_name name = Some traffic))
+    sizes;
+  let per_class =
+    List.fold_left
+      (fun acc c -> acc +. Transport.total_bytes_of transport c)
+      0.0 Transport.all_traffic
+  in
+  Alcotest.(check (float 0.0)) "total is the per-class sum" per_class
+    (Transport.total_bytes transport);
+  Alcotest.(check (float 1e-9)) "total" (250.0 *. hops) (Transport.total_bytes transport);
+  Alcotest.(check bool) "no such class" true (Transport.traffic_of_name "dup" = None)
 
 let test_transport_counts () =
   let engine, _, transport = make_world () in
   Transport.register transport 1 (fun ~src:_ _ -> ());
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   Engine.run engine;
   Transport.set_up transport 1 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   Engine.run engine;
   Alcotest.(check int) "sent" 2 (Transport.messages_sent transport);
   Alcotest.(check int) "delivered" 1 (Transport.messages_delivered transport)
@@ -168,7 +177,7 @@ let test_transport_in_flight_loss_on_failure () =
   let engine, _, transport = make_world () in
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~traffic:Data "x";
   (* The destination goes down before the message lands. *)
   ignore (Engine.schedule engine ~after:0.0001 (fun () -> Transport.set_up transport 1 false));
   Engine.run engine;
@@ -186,7 +195,6 @@ let tests =
     Alcotest.test_case "transport delivery latency" `Quick test_transport_delivery_latency;
     Alcotest.test_case "transport down drops" `Quick test_transport_down_drops;
     Alcotest.test_case "transport down source" `Quick test_transport_down_source_drops;
-    Alcotest.test_case "transport dedup" `Quick test_transport_dedup;
     Alcotest.test_case "transport loss" `Quick test_transport_loss;
     Alcotest.test_case "transport bandwidth" `Quick test_transport_bandwidth_accounting;
     Alcotest.test_case "transport counts" `Quick test_transport_counts;

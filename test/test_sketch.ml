@@ -360,6 +360,18 @@ let prop_window_fold spec =
       let folded = Op.fold impl ~on_fault:(fun () -> assert false) Fun.id payloads in
       String.equal (wire folded) (wire (lift_merge impl payloads)))
 
+(* A source buffers [Op.raw_payload] forms, not the tuples: folding
+   either must give the same bytes. *)
+let prop_raw_payload spec =
+  let impl = Op.compile spec in
+  QCheck.Test.make
+    ~name:(Format.asprintf "%a fold of buffered forms = fold of tuples (bytes)" Op.pp_spec spec)
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) payload_gen))
+    (fun payloads ->
+      let fold items = wire (Op.fold impl ~on_fault:(fun () -> assert false) Fun.id items) in
+      String.equal (fold payloads) (fold (List.map (Op.raw_payload impl) payloads)))
+
 let test_window_fold_edges () =
   List.iter
     (fun spec ->
@@ -442,3 +454,4 @@ let tests =
     Alcotest.test_case "sketch_key does not allocate" `Quick test_sketch_key_no_alloc;
   ]
   @ List.map (fun spec -> QCheck_alcotest.to_alcotest (prop_window_fold spec)) sketch_specs
+  @ List.map (fun spec -> QCheck_alcotest.to_alcotest (prop_raw_payload spec)) sketch_specs
